@@ -22,8 +22,8 @@ from itertools import combinations
 from typing import Sequence
 
 from .errors import Rejected
-from .rootsys import RootSystem, height
-from .weyl import Word, inversion_roots, is_reduced, reduced_words
+from .rootsys import RootSystem
+from .weyl import Word, is_reduced, letter_heights, reduced_words
 
 
 @dataclass(frozen=True)
@@ -47,16 +47,27 @@ def inversion_heights(rs: RootSystem, word: Sequence[int]) -> list[int]:
     >>> inversion_heights(build_root_system("A2"), (1, 2, 1))
     [1, 2, 1]
     """
-    return [height(r) for r in inversion_roots(rs, word)]
+    heights = letter_heights(rs, word)
+    for pos, h in enumerate(heights, start=1):
+        if h < 0:
+            raise Rejected(
+                f"inversion root at position {pos} is negative: "
+                f"word {tuple(word)} is not reduced"
+            )
+    return heights
 
 
-def _check_pair(rs: RootSystem, v: Sequence[int], w: Sequence[int]) -> tuple[Word, Word]:
+def _check_pair(
+    rs: RootSystem, v: Sequence[int], w: Sequence[int]
+) -> tuple[Word, Word, list[int]]:
+    """Both words as tuples, plus the inversion heights of ``w``."""
     v, w = tuple(v), tuple(w)
     if not is_reduced(rs, v):
         raise Rejected(f"class word {v} is not reduced")
-    if not is_reduced(rs, w):
+    weights = letter_heights(rs, w)
+    if any(h < 0 for h in weights):
         raise Rejected(f"fixed-point word {w} is not reduced")
-    return v, w
+    return v, w, weights
 
 
 @lru_cache(maxsize=None)
@@ -92,8 +103,7 @@ def billey_eval_dp(rs: RootSystem, v: Sequence[int], w: Sequence[int]) -> Locali
     >>> billey_eval_dp(rs, (1, 2), (1, 2, 1))
     LocalizationValue(coeff=2, degree=2)
     """
-    v, w = _check_pair(rs, v, w)
-    weights = inversion_heights(rs, w)
+    v, w, weights = _check_pair(rs, v, w)
     total = 0
     for pattern in _patterns(rs, v):
         total += _pattern_dp(pattern, w, weights)
@@ -107,7 +117,7 @@ def earliest_sound_window(rs: RootSystem, v: Sequence[int], w: Sequence[int]) ->
     letter, so restricting to the prefix containing the last occurrence of
     every pattern's final letter (and at least l(v) positions) is safe.
     """
-    v, w = _check_pair(rs, v, w)
+    v, w, _ = _check_pair(rs, v, w)
     window = len(v)
     for pattern in _patterns(rs, v):
         if not pattern:
@@ -140,7 +150,7 @@ def billey_eval_bruteforce(
     the last occurrence in ``w`` of any pattern's final letter.  Unsound
     windows are rejected with the earliest sound window in the diagnostic.
     """
-    v, w = _check_pair(rs, v, w)
+    v, w, weights = _check_pair(rs, v, w)
     if window is None:
         window = len(w)
     else:
@@ -152,7 +162,6 @@ def billey_eval_bruteforce(
                 f"window {window} may lose subwords of v; "
                 f"earliest sound window is {sound}"
             )
-    weights = inversion_heights(rs, w)
     patterns = _patterns(rs, v)
     if full_subset_scan:
         total = _subset_scan(w, weights, patterns, window, len(v))

@@ -33,7 +33,7 @@ from .billey import (
 )
 from .errors import InvariantViolation, Rejected
 from .peterson import (
-    _class_eval,
+    _fixed_point,
     _fixed_point_word,
     build_evaluation_table,
     class_eval,
@@ -42,6 +42,7 @@ from .peterson import (
     full_subset,
     giambelli_eval,
     giambelli_ratio,
+    monk_coefficients,
     monk_eval,
     monk_structure_constants,
 )
@@ -50,7 +51,6 @@ from .rootsys import (
     RootSystem,
     build_root_system,
     height,
-    highest_root,
     is_positive_root,
     positive_count_formula,
     reflect,
@@ -273,8 +273,7 @@ def _cmd_longest(ns: argparse.Namespace) -> tuple[dict, list[str], int]:
 
 def _cmd_lists(ns: argparse.Namespace) -> tuple[dict, list[str], int]:
     rs = build_root_system(ns.type)
-    word = _fixed_point_word(rs, full_subset(rs), ns.seed_word)
-    heights = inversion_heights(rs, word)
+    word, heights = _fixed_point(rs, full_subset(rs), ns.seed_word)
     payload = {
         "type": str(rs.label),
         "word": list(word),
@@ -299,14 +298,14 @@ def _cmd_monk(ns: argparse.Namespace) -> tuple[dict, list[str], int]:
             "degree": val.degree,
         }
         return payload, [f"p_s{ns.i} = {val}"], EXIT_OK
-    values = {i: monk_eval(rs, i, word=ns.seed_word) for i in range(1, rs.rank + 1)}
+    coeffs = monk_coefficients(*_fixed_point(rs, full_subset(rs), ns.seed_word), rs.rank)
     payload = {
         "type": str(rs.label),
-        "monk": {str(i): v.coeff for i, v in values.items()},
-        "total": sum(v.coeff for v in values.values()),
+        "monk": {str(i): c for i, c in coeffs.items()},
+        "total": sum(coeffs.values()),
         "degree": 1,
     }
-    lines = [f"p_s{i} = {v}" for i, v in values.items()]
+    lines = [f"p_s{i} = {LocalizationValue(c, 1)}" for i, c in coeffs.items()]
     lines.append(f"total coeff: {payload['total']}")
     return payload, lines, EXIT_OK
 
@@ -418,15 +417,16 @@ def build_report(rs: RootSystem, seed_word: Word | None = None) -> ReportRecord:
         return now
 
     t = t_start
+    # The seed word is validated here once; later stages take it as given.
     word = _fixed_point_word(rs, full_subset(rs), seed_word)
     t = stage("longest", t)
     heights = tuple(inversion_heights(rs, word))
     t = stage("heights", t)
-    monk = {i: monk_eval(rs, i, word=word).coeff for i in range(1, rs.rank + 1)}
+    monk = monk_coefficients(word, heights, rs.rank)
     t = stage("monk", t)
-    giambelli = giambelli_eval(rs, word=word)
-    t = stage("giambelli", t)
     vk = coxeter_word(range(1, rs.rank + 1))
+    giambelli = billey_eval_dp(rs, vk, word)
+    t = stage("giambelli", t)
     count_vk = len(reduced_words(rs, vk))
     t = stage("reduced_words", t)
 

@@ -23,7 +23,7 @@ from .rootsys import RootSystem
 from .weyl import (
     Word,
     _normalize_subset,
-    element_matrix,
+    element_vector,
     is_reduced,
     longest_element_word,
 )
@@ -58,22 +58,58 @@ def full_subset(rs: RootSystem) -> Subset:
     return frozenset(range(1, rs.rank + 1))
 
 
+@lru_cache(maxsize=None)
+def _longest(rs: RootSystem, J: Subset) -> tuple[Word, tuple[int, ...]]:
+    """The canonical word of w_J with its inversion heights.
+
+    Cached so that each fixed point is walked once, however many classes
+    are evaluated at it.
+    """
+    word = longest_element_word(rs, J)
+    return word, tuple(inversion_heights(rs, word))
+
+
 def _fixed_point_word(
     rs: RootSystem, J: Subset, word: Sequence[int] | None
 ) -> Word:
     """The canonical word of w_J, or a validated alternative word for it."""
-    canonical = longest_element_word(rs, J)
+    canonical = _longest(rs, J)[0]
     if word is None:
         return canonical
     word = tuple(word)
     if not is_reduced(rs, word):
         raise Rejected(f"alternative word {word} is not reduced")
-    if element_matrix(rs, word) != element_matrix(rs, canonical):
+    if element_vector(rs, word) != element_vector(rs, canonical):
         raise Rejected(
             f"alternative word {word} is not a reduced word "
             f"for the longest element of {sorted(J)}"
         )
     return word
+
+
+def _fixed_point(
+    rs: RootSystem, J: Subset, word: Sequence[int] | None
+) -> tuple[Word, tuple[int, ...]]:
+    """A reduced word of w_J with its inversion heights (see _fixed_point_word)."""
+    if word is None:
+        return _longest(rs, J)
+    word = _fixed_point_word(rs, J, word)
+    return word, tuple(inversion_heights(rs, word))
+
+
+def monk_coefficients(word: Word, heights: Sequence[int], rank: int) -> dict[int, int]:
+    """Coefficient of p_{s_i}(w) for every generator i = 1..rank.
+
+    ``word`` is a reduced word of w and ``heights`` its inversion heights;
+    the coefficient of i sums the heights at the positions of letter i.
+
+    >>> monk_coefficients((1, 2, 1), (1, 2, 1), 2)
+    {1: 2, 2: 2}
+    """
+    coeffs = dict.fromkeys(range(1, rank + 1), 0)
+    for letter, h in zip(word, heights):
+        coeffs[letter] += h
+    return coeffs
 
 
 def monk_eval(
@@ -95,10 +131,8 @@ def monk_eval(
     """
     rs.check_index(i)
     J = full_subset(rs) if J is None else _normalize_subset(rs, J)
-    w = _fixed_point_word(rs, J, word)
-    heights = inversion_heights(rs, w)
-    coeff = sum(h for letter, h in zip(w, heights) if letter == i)
-    return LocalizationValue(coeff, 1)
+    w, heights = _fixed_point(rs, J, word)
+    return LocalizationValue(monk_coefficients(w, heights, rs.rank)[i], 1)
 
 
 def giambelli_eval(
@@ -150,7 +184,7 @@ def _class_eval(rs: RootSystem, K: Subset, J: Subset) -> LocalizationValue:
         return LocalizationValue(1, 0)
     if not K <= J:
         return LocalizationValue(0, len(K))
-    return billey_eval_dp(rs, coxeter_word(K), longest_element_word(rs, J))
+    return billey_eval_dp(rs, coxeter_word(K), _longest(rs, J)[0])
 
 
 def class_eval(rs: RootSystem, K: Iterable[int], J: Iterable[int]) -> LocalizationValue:

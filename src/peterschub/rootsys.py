@@ -30,6 +30,11 @@ Root = tuple[int, ...]
 
 _FAMILIES = "ABCDEFG"
 
+# Largest positive-root count build_root_system accepts.  The closure and
+# every longest-word walk grow with it; A99 (4950 roots) still builds in
+# seconds, about five times the largest types in use (A45: 1035 roots).
+MAX_POSITIVE_ROOTS = 5000
+
 
 def _rank_ok(family: str, rank: int) -> bool:
     if family == "A":
@@ -49,7 +54,11 @@ def _rank_ok(family: str, rank: int) -> bool:
 
 @dataclass(frozen=True)
 class LieTypeLabel:
-    """A family letter plus rank, e.g. E8 or A3."""
+    """A family letter plus rank, e.g. E8 or A3.
+
+    Any admissible rank parses; ``build_root_system`` refuses labels with
+    more than ``MAX_POSITIVE_ROOTS`` positive roots.
+    """
 
     family: str
     rank: int
@@ -147,6 +156,11 @@ class RootSystem:
     cartan: tuple[Root, ...]
     positives: tuple[Root, ...]
 
+    def __hash__(self) -> int:
+        # Equal systems have equal labels.  Hashing the label alone keeps
+        # cache lookups keyed by a system from rehashing every positive root.
+        return hash(self.label)
+
     @property
     def rank(self) -> int:
         return self.label.rank
@@ -186,7 +200,8 @@ def build_root_system(label: LieTypeLabel | str) -> RootSystem:
     All positive roots are generated by reflection closure: starting from
     the simple roots, apply every simple reflection and keep the positive
     results until nothing new appears.  Results are cached per label, so
-    repeated calls hand back the identical object.
+    repeated calls hand back the identical object.  Types with more than
+    ``MAX_POSITIVE_ROOTS`` positive roots are rejected before any work.
 
     >>> rs = build_root_system("A2")
     >>> rs.positives
@@ -194,6 +209,12 @@ def build_root_system(label: LieTypeLabel | str) -> RootSystem:
     """
     if isinstance(label, str):
         label = LieTypeLabel.parse(label)
+    count = positive_count_formula(label)
+    if count > MAX_POSITIVE_ROOTS:
+        raise Rejected(
+            f"{label} has {count} positive roots, above the cap of "
+            f"{MAX_POSITIVE_ROOTS} (MAX_POSITIVE_ROOTS)"
+        )
     return _build_cached(label)
 
 

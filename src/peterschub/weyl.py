@@ -6,14 +6,26 @@ left, so the last letter acts first:
 
     act(word, beta) = s_{j_1}(s_{j_2}(... s_{j_l}(beta) ...)).
 
-Internally an element is represented by its action on the simple-root
-basis, stored as a tuple of columns: column j is the image of alpha_j in
-simple-root coordinates.  This keeps every operation exact and makes the
-two facts we lean on O(rank) reads:
+Walks along a word carry one integer vector per element u, its height
+vector ``mu`` with ``mu[k-1] = <u(alpha_k), rho-coroot>``, the height of the
+root u(alpha_k) (negative when that root is negative).  The identity has
+``mu = (1, ..., 1)``, and right multiplication by s_j changes it by one
+Cartan row:
 
-  * appending letter j is length-increasing   iff  column j is positive;
-  * the i-th inversion root of a reduced word is column ``j_i`` of the
-    prefix element ``s_{j_1} ... s_{j_{i-1}}``.
+    mu_k  <-  mu_k - cartan[j][k] * mu_j.
+
+That vector answers everything the evaluation path asks of a prefix u
+(Bjorner-Brenti, *Combinatorics of Coxeter Groups*, section 4.2):
+
+  * appending letter j is length-increasing  iff  ``mu_j > 0``, and j is a
+    right descent of u iff ``mu_j < 0``;
+  * when it is, the inversion root added has height ``mu_j``;
+  * two words spell the same element iff their vectors are equal, because
+    rho-coroot is regular.
+
+Rank x rank matrices (column j is the image of alpha_j in simple-root
+coordinates) remain only behind the APIs that hand back roots or a
+matrix: ``inversion_roots``, ``inversion_root``, ``element_matrix``.
 """
 
 from __future__ import annotations
@@ -21,12 +33,15 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import Rejected
-from .rootsys import Root, RootSystem, is_negative_root, is_positive_root, reflect
+from .rootsys import Root, RootSystem, is_positive_root, reflect
 
 Word = tuple[int, ...]
 
 # Element matrix: column j (0-based) is the image of alpha_{j+1}.
 Matrix = tuple[Root, ...]
+
+# Height vector: entry k (0-based) is the height of the image of alpha_{k+1}.
+Vector = tuple[int, ...]
 
 REDUCED_WORD_LIMIT = 10**6
 _COUNT_MEMO_CAP = 300_000
@@ -58,6 +73,47 @@ def _mul_right(rs: RootSystem, mat: Matrix, j: int) -> Matrix:
         else tuple(col[k] - row[jp] * col_j[k] for k in range(n))
         for jp, col in enumerate(mat)
     )
+
+
+def _step(rs: RootSystem, mu: Vector, j: int) -> Vector:
+    """Height vector of u*s_j from that of u (1-based j): one Cartan row."""
+    h = mu[j - 1]
+    return tuple([m - c * h for m, c in zip(mu, rs.cartan[j - 1])])
+
+
+def element_vector(rs: RootSystem, word: Sequence[int]) -> Vector:
+    """The height vector of the element spelled by ``word``.
+
+    Two words spell the same element exactly when their vectors agree.
+
+    >>> from peterschub.rootsys import build_root_system
+    >>> rs = build_root_system("A2")
+    >>> element_vector(rs, (1, 2, 1)), element_vector(rs, (2, 1, 2))
+    ((-1, -1), (-1, -1))
+    """
+    mu = (1,) * rs.rank
+    for j in _check_word(rs, word):
+        mu = _step(rs, mu, j)
+    return mu
+
+
+def letter_heights(rs: RootSystem, word: Sequence[int]) -> list[int]:
+    """For each letter j, ``mu_j`` of the prefix before it, in position order.
+
+    An entry is positive exactly when its letter extends the prefix
+    length-increasingly, and then it is the height of that position's
+    inversion root.
+
+    >>> from peterschub.rootsys import build_root_system
+    >>> letter_heights(build_root_system("A2"), (1, 2, 1, 2))
+    [1, 2, 1, -1]
+    """
+    mu = (1,) * rs.rank
+    out: list[int] = []
+    for j in _check_word(rs, word):
+        out.append(mu[j - 1])
+        mu = _step(rs, mu, j)
+    return out
 
 
 def element_matrix(rs: RootSystem, word: Sequence[int]) -> Matrix:
@@ -142,13 +198,7 @@ def is_reduced(rs: RootSystem, word: Sequence[int]) -> bool:
     >>> is_reduced(rs, (1, 1)), is_reduced(rs, (1, 2, 1)), is_reduced(rs, (1, 2, 1, 2))
     (False, True, False)
     """
-    word = _check_word(rs, word)
-    mat = identity_matrix(rs.rank)
-    for j in word:
-        if not is_positive_root(mat[j - 1]):
-            return False
-        mat = _mul_right(rs, mat, j)
-    return True
+    return all(h > 0 for h in letter_heights(rs, word))
 
 
 def _normalize_subset(rs: RootSystem, subset: Iterable[int]) -> frozenset[int]:
@@ -170,57 +220,69 @@ def longest_element_word(rs: RootSystem, subset: Iterable[int]) -> Word:
     >>> longest_element_word(build_root_system("A2"), {1, 2})
     (1, 2, 1)
     """
-    subset = _normalize_subset(rs, subset)
-    order = sorted(subset)
-    mat = identity_matrix(rs.rank)
+    order = sorted(_normalize_subset(rs, subset))
+    mu = (1,) * rs.rank
     word: list[int] = []
     while True:
         for j in order:
-            if is_positive_root(mat[j - 1]):
+            if mu[j - 1] > 0:
                 word.append(j)
-                mat = _mul_right(rs, mat, j)
+                mu = _step(rs, mu, j)
                 break
         else:
             return tuple(word)
 
 
-def _count_reduced_words(rs: RootSystem, mat: Matrix, limit: int) -> int:
-    """Number of reduced words of the element ``mat``, capped at ``limit``.
+def _descent_graph(
+    rs: RootSystem, target: Vector, limit: int
+) -> dict[Vector, list[tuple[int, Vector]]]:
+    """The weak-order ideal below ``target``, as right-descent edges.
 
-    Memoized over the weak-order ideal below the element; rejects (rather
-    than answers wrongly) when either the count or the memo size blows
-    past its cap.
+    Maps each element of the ideal to its pairs ``(j, element * s_j)``
+    over right descents j; the identity maps to no pairs.  Reduced words
+    are counted over the ideal on the way, with an explicit stack so that
+    long elements cannot exhaust the interpreter's recursion depth, and
+    the walk rejects (rather than answers wrongly) when either the count
+    passes ``limit`` or the ideal passes its size cap.
     """
-    identity = identity_matrix(rs.rank)
-    memo: dict[Matrix, int] = {identity: 1}
-
-    def count(m: Matrix) -> int:
-        cached = memo.get(m)
-        if cached is not None:
-            return cached
-        total = 0
-        for j in range(1, rs.rank + 1):
-            if is_negative_root(m[j - 1]):
-                total += count(_mul_right(rs, m, j))
+    identity = (1,) * rs.rank
+    below: dict[Vector, list[tuple[int, Vector]]] = {identity: []}
+    counts: dict[Vector, int] = {identity: 1}
+    stack = [target]
+    while stack:
+        mu = stack[-1]
+        if mu in counts:
+            stack.pop()
+            continue
+        edges = below.get(mu)
+        if edges is None:
+            edges = below[mu] = [
+                (j, _step(rs, mu, j)) for j, h in enumerate(mu, start=1) if h < 0
+            ]
+            todo = [child for _, child in edges if child not in counts]
+            if todo:
+                # Every child is counted before this element is seen again.
+                stack.extend(todo)
+                continue
+        stack.pop()
+        total = sum(counts[child] for _, child in edges)
         if total > limit:
             raise Rejected(
                 f"element has more than {limit} reduced words; refusing to enumerate"
             )
-        if len(memo) > _COUNT_MEMO_CAP:
+        if len(counts) > _COUNT_MEMO_CAP:
             raise Rejected(
                 "weak-order ideal below the element is too large to count "
                 "reduced words; refusing to enumerate"
             )
-        memo[m] = total
-        return total
-
-    return count(mat)
+        counts[mu] = total
+    return below
 
 
 def reduced_words(rs: RootSystem, word: Sequence[int]) -> list[Word]:
     """All reduced words of the element spelled by a reduced word.
 
-    Enumerates by recursion on right descents and returns the complete set
+    Enumerates by stripping right descents and returns the complete set
     in lexicographic order.  Rejects non-reduced input and elements with
     more than ``REDUCED_WORD_LIMIT`` reduced words.
 
@@ -232,24 +294,18 @@ def reduced_words(rs: RootSystem, word: Sequence[int]) -> list[Word]:
     word = _check_word(rs, word)
     if not is_reduced(rs, word):
         raise Rejected(f"word {word} is not reduced")
-    target = element_matrix(rs, word)
-    _count_reduced_words(rs, target, REDUCED_WORD_LIMIT)
+    target = element_vector(rs, word)
+    below = _descent_graph(rs, target, REDUCED_WORD_LIMIT)
 
-    identity = identity_matrix(rs.rank)
     out: list[Word] = []
-    suffix: list[int] = []
-
-    def walk(m: Matrix) -> None:
-        if m == identity:
-            out.append(tuple(reversed(suffix)))
-            return
-        for j in range(1, rs.rank + 1):
-            if is_negative_root(m[j - 1]):
-                suffix.append(j)
-                walk(_mul_right(rs, m, j))
-                suffix.pop()
-
-    walk(target)
+    stack: list[tuple[Vector, Word]] = [(target, ())]
+    while stack:
+        mu, suffix = stack.pop()
+        edges = below[mu]
+        if not edges:
+            out.append(suffix)
+        for j, child in edges:
+            stack.append((child, (j,) + suffix))
     out.sort()
     return out
 
@@ -299,17 +355,17 @@ def element_words(
     >>> element_words(build_root_system("A2"))
     [(), (1,), (2,), (1, 2), (2, 1), (1, 2, 1)]
     """
-    identity = identity_matrix(rs.rank)
-    seen: set[Matrix] = {identity}
+    identity = (1,) * rs.rank
+    seen: set[Vector] = {identity}
     out: list[Word] = [()]
-    frontier: list[tuple[Word, Matrix]] = [((), identity)]
+    frontier: list[tuple[Word, Vector]] = [((), identity)]
     length = 0
     while frontier and (max_length is None or length < max_length):
-        nxt: list[tuple[Word, Matrix]] = []
-        for word, mat in frontier:
-            for j in range(1, rs.rank + 1):
-                if is_positive_root(mat[j - 1]):
-                    m2 = _mul_right(rs, mat, j)
+        nxt: list[tuple[Word, Vector]] = []
+        for word, mu in frontier:
+            for j, h in enumerate(mu, start=1):
+                if h > 0:
+                    m2 = _step(rs, mu, j)
                     if m2 not in seen:
                         seen.add(m2)
                         nxt.append((word + (j,), m2))

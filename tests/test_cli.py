@@ -275,6 +275,18 @@ def test_unknown_type_is_usage_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_type_above_root_cap_is_rejected_before_the_closure(capsys, monkeypatch):
+    import peterschub.rootsys as rootsys
+
+    def no_closure(label):
+        raise AssertionError(f"closure started for {label}")
+
+    monkeypatch.setattr(rootsys, "_build_cached", no_closure)
+    code, out, err = run(capsys, "report", "--type", "A100000")
+    assert code == 2 and out == ""
+    assert str(rootsys.MAX_POSITIVE_ROOTS) in err and "MAX_POSITIVE_ROOTS" in err
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])

@@ -160,6 +160,15 @@ def test_reduced_words_guard(monkeypatch):
         reduced_words(rs, (1, 2, 1, 3, 2, 1))  # 16 words > patched limit
 
 
+def test_reduced_words_of_a_long_element_hit_the_word_cap():
+    # |w0| = 1035 letters: enumeration must refuse by its word cap, not
+    # run out of interpreter stack.
+    rs = build_root_system("A45")
+    w0 = longest_element_word(rs, range(1, 46))
+    with pytest.raises(Rejected, match="more than 1000000 reduced words"):
+        reduced_words(rs, w0)
+
+
 def test_element_words_orders():
     assert len(element_words(build_root_system("A2"))) == 6
     assert len(element_words(build_root_system("A3"))) == 24
