@@ -17,8 +17,6 @@ from .billey import (
 )
 from .errors import InvariantViolation, Rejected
 from .peterson import (
-    EvaluationTable,
-    build_evaluation_table,
     class_eval,
     coxeter_word,
     expansion_residuals,
@@ -57,7 +55,6 @@ from .weyl import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "EvaluationTable",
     "InvariantViolation",
     "LieTypeLabel",
     "LocalizationValue",
@@ -69,7 +66,6 @@ __all__ = [
     "billey_eval_bruteforce",
     "billey_eval_dp",
     "braid_variant",
-    "build_evaluation_table",
     "build_root_system",
     "class_eval",
     "coxeter_word",

@@ -7,25 +7,36 @@ word) and w_J the longest element of J.  Evaluations vanish unless
 K is contained in J, which makes the full evaluation grid triangular
 under inclusion and lets products be expanded by back-substitution in
 exact rational arithmetic.
+
+``build_report`` runs the whole pipeline for one type (longest word,
+inversion heights, Monk and Giambelli evaluations, the backtracking
+oracle where it is cheap) and checks the totals it can check.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
-from .billey import LocalizationValue, billey_eval_dp, inversion_heights
+from .billey import (
+    LocalizationValue,
+    billey_eval_bruteforce,
+    billey_eval_dp,
+    inversion_heights,
+)
 from .errors import InvariantViolation, Rejected
-from .rootsys import RootSystem
+from .rootsys import RootSystem, height
 from .weyl import (
     Word,
     _normalize_subset,
     element_vector,
     is_reduced,
     longest_element_word,
+    reduced_words,
 )
 
 Subset = frozenset[int]
@@ -202,35 +213,6 @@ def _subsets_ordered(rank: int) -> list[Subset]:
     ]
 
 
-@dataclass(frozen=True)
-class EvaluationTable:
-    """Evaluations p_{v_K'}(w_J) for all pairs K' within J.
-
-    Entries with K' not contained in J are identically zero and are not
-    stored; ``value`` supplies them.  The diagonal entries (K', K') have
-    positive coefficient, which makes the table invertible by
-    back-substitution along inclusion.
-    """
-
-    rank: int
-    entries: Mapping[tuple[Subset, Subset], LocalizationValue]
-
-    def value(self, class_index: Iterable[int], fixed_point: Iterable[int]) -> LocalizationValue:
-        kp, j = frozenset(class_index), frozenset(fixed_point)
-        if kp <= j:
-            return self.entries[(kp, j)]
-        return LocalizationValue(0, len(kp))
-
-
-def build_evaluation_table(rs: RootSystem) -> EvaluationTable:
-    """Evaluate every class at every fixed point containing its index set."""
-    subsets = _subsets_ordered(rs.rank)
-    entries = {
-        (kp, j): _class_eval(rs, kp, j) for j in subsets for kp in subsets if kp <= j
-    }
-    return EvaluationTable(rank=rs.rank, entries=entries)
-
-
 def monk_structure_constants(
     rs: RootSystem, i: int, K: Iterable[int]
 ) -> StructureConstants:
@@ -301,3 +283,108 @@ def expansion_residuals(
         )
         out[J] = lhs - rhs
     return out
+
+
+@dataclass(frozen=True)
+class ReportRecord:
+    """One type's full pipeline: words, heights, evaluations, timings."""
+
+    type_label: str
+    longest_word: Word
+    inversion_heights: tuple[int, ...]
+    monk: dict[int, int]
+    giambelli: int
+    ratio: Fraction
+    reduced_word_count_vk: int
+    oracle: dict[str, Any] | None
+    timings: dict[str, int]
+
+
+_ORACLE_LENGTH_CAP = 63
+
+
+def build_report(rs: RootSystem, seed_word: Word | None = None) -> ReportRecord:
+    """Run the full evaluation pipeline for one type, timing each stage.
+
+    The backtracking-oracle comparison is included only when the longest
+    word has at most 63 letters: beyond that the enumeration stops being
+    a quick cross-check, and the dynamic program stands on the exhaustive
+    equivalence tests in smaller types.
+    """
+    timings: dict[str, int] = {}
+    t_start = time.perf_counter()
+
+    def stage(name: str, since: float) -> float:
+        now = time.perf_counter()
+        timings[name] = int((now - since) * 1000)
+        return now
+
+    t = t_start
+    # The seed word is validated here once; later stages take it as given.
+    word = _fixed_point_word(rs, full_subset(rs), seed_word)
+    t = stage("longest", t)
+    heights = tuple(inversion_heights(rs, word))
+    t = stage("heights", t)
+    monk = monk_coefficients(word, heights, rs.rank)
+    t = stage("monk", t)
+    vk = coxeter_word(range(1, rs.rank + 1))
+    giambelli = billey_eval_dp(rs, vk, word)
+    t = stage("giambelli", t)
+    count_vk = len(reduced_words(rs, vk))
+    t = stage("reduced_words", t)
+
+    oracle: dict[str, Any] | None = None
+    if len(word) <= _ORACLE_LENGTH_CAP:
+        oracle_val = billey_eval_bruteforce(rs, vk, word)
+        oracle = {
+            "method": "backtrack",
+            "coeff": oracle_val.coeff,
+            "agrees": oracle_val == giambelli,
+        }
+        t = stage("oracle", t)
+
+    if len(word) != len(rs.positives) or len(heights) != len(rs.positives):
+        raise InvariantViolation("longest word length differs from the root count")
+    height_sum = sum(height(r) for r in rs.positives)
+    if sum(monk.values()) != height_sum:
+        raise InvariantViolation(
+            f"monk coefficients sum to {sum(monk.values())}, "
+            f"expected the total height {height_sum}"
+        )
+    if oracle is not None and not oracle["agrees"]:
+        raise InvariantViolation("oracle evaluation disagrees with the dp")
+
+    num = 1
+    for c in monk.values():
+        num *= c
+    ratio = Fraction(num, giambelli.coeff)
+    timings["total"] = int((time.perf_counter() - t_start) * 1000)
+    return ReportRecord(
+        type_label=str(rs.label),
+        longest_word=word,
+        inversion_heights=heights,
+        monk=monk,
+        giambelli=giambelli.coeff,
+        ratio=ratio,
+        reduced_word_count_vk=count_vk,
+        oracle=oracle,
+        timings=timings,
+    )
+
+
+def report_payload(record: ReportRecord) -> dict[str, Any]:
+    """The JSON-ready form of a report (the ``report`` subcommand's payload)."""
+    return {
+        "type_label": record.type_label,
+        "longest_word": list(record.longest_word),
+        "inversion_heights": list(record.inversion_heights),
+        "monk": {str(i): c for i, c in record.monk.items()},
+        "giambelli": record.giambelli,
+        "ratio": {
+            "numerator": record.ratio.numerator,
+            "denominator": record.ratio.denominator,
+        },
+        "reduced_word_count_vk": record.reduced_word_count_vk,
+        "oracle": record.oracle,
+        "timings": record.timings,
+    }

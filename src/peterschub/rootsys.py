@@ -188,11 +188,6 @@ class RootSystem:
             return True
         return tuple(-c for c in root) in self._positive_set
 
-    @cached_property
-    def height_index(self) -> dict[Root, int]:
-        """Map positive root -> rank in the root poset (= height - 1)."""
-        return {r: height(r) - 1 for r in self.positives}
-
 
 def build_root_system(label: LieTypeLabel | str) -> RootSystem:
     """Construct the root system of the given type.

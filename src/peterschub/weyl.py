@@ -23,9 +23,11 @@ That vector answers everything the evaluation path asks of a prefix u
   * two words spell the same element iff their vectors are equal, because
     rho-coroot is regular.
 
-Rank x rank matrices (column j is the image of alpha_j in simple-root
-coordinates) remain only behind the APIs that hand back roots or a
-matrix: ``inversion_roots``, ``inversion_root``, ``element_matrix``.
+The APIs that hand back roots, ``element_matrix`` (the images of the
+simple roots), ``inversion_root`` and ``inversion_roots``, are built on
+``act``, which applies the reflections of a word to a root one by one.
+They share no code with the height-vector walk, so each route can be
+tested against the other.
 """
 
 from __future__ import annotations
@@ -52,27 +54,6 @@ def _check_word(rs: RootSystem, word: Sequence[int]) -> Word:
     for j in word:
         rs.check_index(j)
     return word
-
-
-def identity_matrix(rank: int) -> Matrix:
-    return tuple(
-        tuple(1 if k == j else 0 for k in range(rank)) for j in range(rank)
-    )
-
-
-def _mul_right(rs: RootSystem, mat: Matrix, j: int) -> Matrix:
-    """Right-multiply an element matrix by s_j (1-based j).
-
-    Column j' of w*s_j is  col_{j'} - cartan[j][j'] * col_j.
-    """
-    row = rs.cartan[j - 1]
-    col_j = mat[j - 1]
-    n = rs.rank
-    return tuple(
-        col if row[jp] == 0
-        else tuple(col[k] - row[jp] * col_j[k] for k in range(n))
-        for jp, col in enumerate(mat)
-    )
 
 
 def _step(rs: RootSystem, mu: Vector, j: int) -> Vector:
@@ -124,10 +105,7 @@ def element_matrix(rs: RootSystem, word: Sequence[int]) -> Matrix:
     >>> element_matrix(rs, (1, 2, 1)) == element_matrix(rs, (2, 1, 2))
     True
     """
-    mat = identity_matrix(rs.rank)
-    for j in _check_word(rs, word):
-        mat = _mul_right(rs, mat, j)
-    return mat
+    return tuple(act(rs, word, rs.simple_root(j)) for j in range(1, rs.rank + 1))
 
 
 def act(rs: RootSystem, word: Sequence[int], root: Root) -> Root:
@@ -173,19 +151,7 @@ def inversion_roots(rs: RootSystem, word: Sequence[int]) -> list[Root]:
 
     Rejects non-reduced words (some inversion root would be negative).
     """
-    word = _check_word(rs, word)
-    mat = identity_matrix(rs.rank)
-    roots: list[Root] = []
-    for pos, j in enumerate(word, start=1):
-        root = mat[j - 1]
-        if not is_positive_root(root):
-            raise Rejected(
-                f"inversion root at position {pos} is negative: "
-                f"word {word} is not reduced"
-            )
-        roots.append(root)
-        mat = _mul_right(rs, mat, j)
-    return roots
+    return [inversion_root(rs, word, pos) for pos in range(1, len(word) + 1)]
 
 
 def is_reduced(rs: RootSystem, word: Sequence[int]) -> bool:

@@ -5,6 +5,11 @@ captured output on failure) in addition to its pytest verdict, so a run
 of this file reads as a checklist.  All numeric targets here were fixed
 by independent derivations before the implementation existed: closed
 formulas, exponent identities, or hand evaluations in small ranks.
+
+Invariants that the registry in ``peterschub.checks`` asserts (run by
+``tests/test_checks.py`` at both levels) are not restated here: this file
+keeps the timing gates, the CLI round-trips and the types and values the
+registry does not cover.
 """
 
 import functools
@@ -14,31 +19,14 @@ from fractions import Fraction
 from itertools import combinations
 
 from peterschub import cli
-from peterschub.billey import billey_eval_bruteforce, billey_eval_dp
-from peterschub.peterson import (
-    coxeter_word,
-    expansion_residuals,
-    giambelli_eval,
-    giambelli_ratio,
-    monk_eval,
-    monk_structure_constants,
-)
+from peterschub.peterson import expansion_residuals, monk_eval, monk_structure_constants
 from peterschub.rootsys import _build_cached, build_root_system, height
-from peterschub.weyl import (
-    braid_variant,
-    element_words,
-    inversion_roots,
-    longest_element_word,
-    reduced_words,
-)
+from peterschub.weyl import braid_variant, inversion_roots, longest_element_word
 
 CATALOG = ("A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8",
            "G2", "F4", "E6", "E7", "E8")
 EXPECTED_COUNTS = {"G2": 6, "F4": 24, "E6": 36, "E7": 63, "E8": 120}
 EXPECTED_COUNTS.update({f"A{n}": n * (n + 1) // 2 for n in range(1, 9)})
-
-RANK_LE_4 = ("A1", "A2", "A3", "A4", "B2", "B3", "B4",
-             "C2", "C3", "C4", "D3", "D4", "F4", "G2")
 
 
 def criterion(name):
@@ -75,17 +63,19 @@ def test_root_counts_match_formulas_within_a_second():
 
 @criterion("longest-element-inversions")
 def test_longest_words_invert_exactly_the_positive_roots():
-    for label in CATALOG:
+    # The other catalog types are in the longest_word_inversions check.
+    for label in ("A5", "A6", "A7", "A8"):
         rs = build_root_system(label)
         w0 = longest_element_word(rs, range(1, rs.rank + 1))
         assert len(w0) == len(rs.positives), label
         assert sorted(inversion_roots(rs, w0)) == sorted(rs.positives), label
-    return f"{len(CATALOG)} types"
+    return "A5-A8"
 
 
 @criterion("height-sum-identity")
 def test_monk_coefficients_sum_to_the_total_height():
-    for label in CATALOG:
+    # The other catalog types are in the monk_summation_identity check.
+    for label in ("A1", "A4", "A5", "A6", "A7", "A8"):
         rs = build_root_system(label)
         total = sum(monk_eval(rs, i).coeff for i in range(1, rs.rank + 1))
         assert total == sum(height(r) for r in rs.positives), label
@@ -93,46 +83,7 @@ def test_monk_coefficients_sum_to_the_total_height():
     total = sum(monk_eval(e8, i).coeff for i in range(1, 9))
     exponents = (1, 7, 11, 13, 17, 19, 23, 29)
     assert total == 1240 == sum(e * (e + 1) // 2 for e in exponents)
-    return "all types; E8 total 1240 = exponent sum"
-
-
-@criterion("coxeter-reduced-words")
-def test_full_coxeter_elements_have_three_reduced_words():
-    for label in ("E6", "E7", "E8"):
-        rs = build_root_system(label)
-        words = reduced_words(rs, coxeter_word(range(1, rs.rank + 1)))
-        assert len(words) == 3, label
-    e8 = build_root_system("E8")
-    assert reduced_words(e8, coxeter_word(range(1, 9))) == [
-        (1, 2, 3, 4, 5, 6, 7, 8),
-        (1, 3, 2, 4, 5, 6, 7, 8),
-        (2, 1, 3, 4, 5, 6, 7, 8),
-    ]
-    return "E6/E7/E8 each 3; E8 words pinned"
-
-
-@criterion("oracle-equivalence")
-def test_dp_equals_bruteforce_exhaustively_and_on_large_instances():
-    start = time.perf_counter()
-    pairs = 0
-    for label in ("A3", "B3", "G2"):
-        rs = build_root_system(label)
-        words = element_words(rs)  # every element, canonical word
-        assert max(len(w) for w in words) <= 12
-        for v in words:
-            if not v:
-                continue
-            for w in words:
-                assert billey_eval_dp(rs, v, w) == billey_eval_bruteforce(rs, v, w)
-                pairs += 1
-    for label in ("E6", "E7"):
-        rs = build_root_system(label)
-        v = coxeter_word(range(1, rs.rank + 1))
-        w0 = longest_element_word(rs, range(1, rs.rank + 1))
-        assert billey_eval_dp(rs, v, w0) == billey_eval_bruteforce(rs, v, w0)
-    elapsed = time.perf_counter() - start
-    assert elapsed < 300, f"took {elapsed:.1f}s"
-    return f"{pairs} exhaustive pairs + E6/E7, {elapsed:.1f}s"
+    return "A1, A4-A8; E8 total 1240 = exponent sum"
 
 
 @criterion("word-independence")
@@ -156,28 +107,6 @@ def test_seed_word_flag_reproduces_canonical_evaluations(capsys):
     return "A3 and E6, monk + giambelli via --seed-word"
 
 
-@criterion("hand-derived-values")
-def test_small_rank_values_match_hand_computation():
-    a2 = build_root_system("A2")
-    assert monk_eval(a2, 1).coeff == 2 and monk_eval(a2, 2).coeff == 2
-    assert giambelli_eval(a2).coeff == 2
-    assert giambelli_ratio(a2) == 2
-
-    a1 = build_root_system("A1")
-    assert monk_structure_constants(a1, 1, (1,)) == {
-        frozenset({1}): (Fraction(1), 1)
-    }
-    # p_{s1}^2 = t p_{s1} + p_{v{1,2}} and p_{s1} p_{s2} = 2 p_{v{1,2}}
-    assert monk_structure_constants(a2, 1, (1,)) == {
-        frozenset({1}): (Fraction(1), 1),
-        frozenset({1, 2}): (Fraction(1), 0),
-    }
-    assert monk_structure_constants(a2, 1, (2,)) == {
-        frozenset({1, 2}): (Fraction(2), 0),
-    }
-    return "A2 monk/giambelli/ratio = 2/2/2; A1, A2 expansions"
-
-
 @criterion("report-performance")
 def test_reports_are_fast_and_carry_the_oracle_comparison():
     start = time.perf_counter()
@@ -194,8 +123,9 @@ def test_reports_are_fast_and_carry_the_oracle_comparison():
 
 @criterion("structure-constant-residuals")
 def test_expansions_reproduce_the_product_at_every_fixed_point():
+    # The other rank <= 4 types are in the structure_constants_residual check.
     solves = 0
-    for label in RANK_LE_4:
+    for label in ("C2", "D3"):
         rs = build_root_system(label)
         indices = range(1, rs.rank + 1)
         for i in indices:
@@ -213,5 +143,6 @@ def test_expansions_reproduce_the_product_at_every_fixed_point():
         (1, 3, 4): (Fraction(1), 0),
     }
     residuals = expansion_residuals(e6, 1, (1, 3), constants)
+    assert len(residuals) == 2 ** e6.rank
     assert all(r == 0 for r in residuals.values())
-    return f"{solves} expansions, ranks <= 4, plus an E6 spot-check"
+    return f"{solves} expansions in C2 and D3, plus an E6 spot-check"

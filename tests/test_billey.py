@@ -30,16 +30,11 @@ def test_inversion_heights_values():
 
 
 def test_hand_values_a2():
+    # The other A2 values are in the billey_hand_values check.
     rs = build_root_system("A2")
     w0 = (1, 2, 1)
-    assert billey_eval_dp(rs, (), w0) == LocalizationValue(1, 0)
-    assert billey_eval_dp(rs, (1,), w0) == LocalizationValue(2, 1)
-    assert billey_eval_dp(rs, (2,), w0) == LocalizationValue(2, 1)
-    assert billey_eval_dp(rs, (1, 2), w0) == LocalizationValue(2, 2)
-    assert billey_eval_dp(rs, (2, 1), w0) == LocalizationValue(2, 2)
     # At v = w0 only the full index subset matches; value is the product
-    # of all inversion heights.
-    assert billey_eval_dp(rs, w0, w0) == LocalizationValue(2, 3)
+    # of all inversion heights, whichever reduced word spells v.
     assert billey_eval_dp(rs, (2, 1, 2), w0) == LocalizationValue(2, 3)
 
 
@@ -107,15 +102,10 @@ def test_earliest_sound_window():
 
 
 def test_window_validation():
+    # Sound and too-narrow windows are in the billey_window_soundness check.
     rs = build_root_system("A3")
     w0 = (1, 2, 1, 3, 2, 1)
-    full = billey_eval_dp(rs, (1, 2), w0)
-    sound = earliest_sound_window(rs, (1, 2), w0)
-    assert billey_eval_bruteforce(rs, (1, 2), w0, window=sound) == full
-    with pytest.raises(Rejected) as exc:
-        billey_eval_bruteforce(rs, (1, 2), w0, window=sound - 1)
-    assert str(sound) in str(exc.value)
-    with pytest.raises(Rejected):
+    with pytest.raises(Rejected, match="exceeds word length"):
         billey_eval_bruteforce(rs, (1, 2), w0, window=7)
 
 
@@ -137,9 +127,9 @@ def test_degree_is_class_length():
 
 
 def test_giambelli_instance_e6_dual_route():
+    # The backtracking comparison is in billey_oracle_equivalence (full).
     rs = build_root_system("E6")
     vk = (1, 2, 3, 4, 5, 6)
     w0 = longest_element_word(rs, range(1, 7))
     dp = billey_eval_dp(rs, vk, w0)
-    assert dp == billey_eval_bruteforce(rs, vk, w0)
     assert dp.degree == 6 and dp.coeff > 0

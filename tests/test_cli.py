@@ -7,8 +7,10 @@ three output formats are exercised exactly as a shell user would see them.
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from peterschub import cli
+import peterschub.peterson as peterson
+from peterschub import checks, cli
 from peterschub.billey import LocalizationValue
 from peterschub.rootsys import build_root_system
 from peterschub.weyl import braid_variant, longest_element_word
@@ -246,7 +248,7 @@ def test_verify_quick_passes(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["failed"] == 0
-    assert payload["passed"] == len(payload["checks"]) == len(cli._CHECKS)
+    assert payload["passed"] == len(payload["checks"]) == len(checks.CHECKS)
     assert all(c["ok"] for c in payload["checks"])
 
 
@@ -254,7 +256,7 @@ def test_verify_text_has_one_line_per_check(capsys):
     code, out, _ = run(capsys, "verify")
     assert code == 0
     lines = out.splitlines()
-    assert len(lines) == len(cli._CHECKS) + 1
+    assert len(lines) == len(checks.CHECKS) + 1
     assert all(l.startswith("ok   ") for l in lines[:-1])
     assert lines[-1].endswith("level quick")
 
@@ -316,3 +318,118 @@ def test_bad_seed_word_is_rejected(capsys):
     code, _, err = run(capsys, "lists", "--type", "A2", "--seed-word", "1,1")
     assert code == 2
     assert "not reduced" in err
+
+
+@pytest.mark.parametrize("before", (True, False), ids=("before", "after"))
+@pytest.mark.parametrize("argv", (
+    ["roots", "--type", "A2"],
+    ["poset", "--type", "A2"],
+    ["longest", "--type", "A2"],
+    ["constants", "--type", "A2", "-i", "1", "--subset", "1"],
+    ["verify"],
+), ids=lambda argv: argv[0])
+def test_seed_word_on_a_command_that_ignores_it_is_usage_error(capsys, argv, before):
+    flag = ["--seed-word", "2,1,2"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(flag + argv if before else argv + flag)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert f"--seed-word does not apply to {argv[0]}" in err
+    assert "lists, monk, giambelli, report" in err
+
+
+def test_giambelli_validates_the_seed_word_once(capsys, monkeypatch):
+    calls = []
+    original = peterson.element_vector
+
+    def counting(rs, word):
+        calls.append(tuple(word))
+        return original(rs, word)
+
+    monkeypatch.setattr(peterson, "element_vector", counting)
+    code, out, _ = run(
+        capsys, "giambelli", "--type", "A3", "--seed-word", "1,2,3,1,2,1",
+        "--oracle", "backtrack",
+    )
+    assert code == 0 and "agreement: yes" in out
+    # One comparison of the seed word with the canonical word.
+    assert calls == [(1, 2, 3, 1, 2, 1), (1, 2, 1, 3, 2, 1)]
+
+
+def test_negative_window_for_the_subset_scan_is_rejected(capsys):
+    code, _, err = run(
+        capsys, "giambelli", "--type", "A2", "--oracle", "subsets", "--window", "-1"
+    )
+    assert code == 2
+    assert "earliest sound window is 2" in err
+
+
+# --- fuzzed argv -------------------------------------------------------------
+
+FUZZ_TYPES = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
+              "D3", "D4", "F4", "G2", "a3")
+MALFORMED_TYPES = ("Z3", "A0", "B1", "E9", "A", "")
+
+
+def fuzz_options(rank):
+    """Values for each option; indices run one past the rank on either side."""
+    index = st.integers(min_value=-1, max_value=rank + 1)
+
+    def index_list(size):
+        items = st.lists(index, min_size=1, max_size=size)
+        return items.map(lambda xs: ",".join(map(str, xs)))
+
+    return {
+        "--subset": index_list(5),
+        "-i": index.map(str),
+        "--seed-word": index_list(8),
+        "--window": st.integers(min_value=-1, max_value=12).map(str),
+        "--oracle": st.sampled_from(("backtrack", "subsets")),
+        "--format": st.sampled_from(("text", "json", "csv")),
+    }
+
+
+# The options each subcommand takes besides --format; others get in rarely.
+ACCEPTS = {
+    "roots": (), "poset": (), "longest": ("--subset",), "lists": ("--seed-word",),
+    "monk": ("-i", "--seed-word"),
+    "giambelli": ("--subset", "--oracle", "--window", "--seed-word"),
+    "constants": ("-i", "--subset"), "report": ("--seed-word",), "verify": (),
+}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(tuple(ACCEPTS)))
+    argv = [command]
+    rank = 4
+    if command == "verify":
+        argv += ["--level", "quick"]
+    elif draw(st.integers(min_value=0, max_value=4)):
+        label = draw(st.sampled_from(FUZZ_TYPES))
+        argv += ["--type", label]
+        rank = int(label[1:])
+    else:
+        argv += ["--type", draw(st.sampled_from(MALFORMED_TYPES))]
+    options = fuzz_options(rank)
+    # constants has two required options; the others are drawn at random.
+    flags = [f for f in ACCEPTS[command] + ("--format",)
+             if command == "constants" or draw(st.booleans())]
+    stray = draw(st.sampled_from((None,) * 18 + tuple(options)))
+    for flag in flags + ([stray] if stray else []):
+        # "--flag=value" keeps a value such as "-1,2" from reading as an option.
+        value = draw(options[flag])
+        argv += [flag, value] if flag == "-i" else [f"{flag}={value}"]
+    return argv
+
+
+@given(cli_argv())
+@settings(deadline=None, max_examples=120,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzzed_argv_ends_with_a_documented_exit_code(capsys, argv):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    capsys.readouterr()
+    assert code in (0, 1, 2, 3), argv

@@ -45,6 +45,19 @@ def test_no_unused_sibling_imports(path):
     assert not unused, f"{path.name}: unused imports (line, name): {unused}"
 
 
+def test_library_modules_do_not_import_the_cli():
+    # Under ``python -m peterschub.cli`` such an import would load a second
+    # copy of the CLI module.
+    importers = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                names = [node.module or ""] + [alias.name for alias in node.names]
+                if "cli" in names:
+                    importers.append(path.name)
+    assert importers == []
+
+
 def test_checker_flags_an_unused_import():
     source = "from .weyl import Word, act\n\nx: Word = ()\n"
     assert unused_relative_imports(source) == [(1, "act")]

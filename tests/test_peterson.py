@@ -8,7 +8,6 @@ import pytest
 from peterschub.billey import LocalizationValue, billey_eval_bruteforce
 from peterschub.errors import Rejected
 from peterschub.peterson import (
-    build_evaluation_table,
     class_eval,
     coxeter_word,
     expansion_residuals,
@@ -33,11 +32,10 @@ def test_coxeter_word():
 
 
 def test_monk_eval_hand_values():
+    # The A3 coefficients are in the peterson_hand_values check.
     a2 = build_root_system("A2")
     assert monk_eval(a2, 1) == LocalizationValue(2, 1)
     assert monk_eval(a2, 2) == LocalizationValue(2, 1)
-    a3 = build_root_system("A3")
-    assert {i: monk_eval(a3, i).coeff for i in (1, 2, 3)} == {1: 3, 2: 4, 3: 3}
     b2 = build_root_system("B2")
     # Word (1,2,1,2) has heights [1,2,3,1]: letter 1 at positions 1,3.
     assert monk_eval(b2, 1) == LocalizationValue(4, 1)
@@ -69,10 +67,8 @@ def test_monk_eval_rejects_wrong_word():
 
 
 def test_giambelli_eval_hand_values():
-    a2 = build_root_system("A2")
-    assert giambelli_eval(a2) == LocalizationValue(2, 2)
+    # The full A2 and A3 values are in the peterson_hand_values check.
     a3 = build_root_system("A3")
-    assert giambelli_eval(a3) == LocalizationValue(6, 3)
     assert giambelli_eval(a3, {2}) == LocalizationValue(1, 1)
     # Commuting pair: w_K = (1,3), heights [1,1], single subword.
     assert giambelli_eval(a3, {1, 3}) == LocalizationValue(1, 2)
@@ -102,12 +98,9 @@ def test_giambelli_ratio_hand_values():
 
 
 def test_giambelli_ratio_type_a_factorial():
-    for rank in (1, 2, 3, 4):
-        rs = build_root_system(f"A{rank}")
-        assert giambelli_ratio(rs) == math.factorial(rank)
-    a4 = build_root_system("A4")
-    assert giambelli_ratio(a4, {2, 3}) == 2
-    assert giambelli_ratio(a4, {2, 3, 4}) == 6
+    # A2-A4 and A4 {2,3,4} are in the giambelli_ratio_factorial check (full).
+    assert giambelli_ratio(build_root_system("A1")) == math.factorial(1)
+    assert giambelli_ratio(build_root_system("A4"), {2, 3}) == 2
 
 
 def test_giambelli_ratio_g2():
@@ -144,16 +137,11 @@ def test_class_eval_triangularity():
 
 def test_evaluation_table():
     a2 = build_root_system("A2")
-    table = build_evaluation_table(a2)
-    assert table.rank == 2
     full = frozenset({1, 2})
-    assert table.value(full, full) == LocalizationValue(2, 2)
-    assert table.value({1}, full) == LocalizationValue(2, 1)
-    assert table.value({1}, {2}) == LocalizationValue(0, 1)
-    assert table.value((), {2}) == LocalizationValue(1, 0)
-    stored = set(table.entries)
-    assert all(kp <= j for kp, j in stored)
-    assert len(stored) == 9  # 3^rank inclusion pairs
+    assert class_eval(a2, full, full) == LocalizationValue(2, 2)
+    assert class_eval(a2, {1}, full) == LocalizationValue(2, 1)
+    assert class_eval(a2, {1}, {2}) == LocalizationValue(0, 1)
+    assert class_eval(a2, (), {2}) == LocalizationValue(1, 0)
 
 
 def test_structure_constants_hand_a1():
@@ -164,14 +152,8 @@ def test_structure_constants_hand_a1():
 
 
 def test_structure_constants_hand_a2():
+    # p_s1 * p_s1 and p_s1 * p_s2 are in the structure_constants_hand check.
     rs = build_root_system("A2")
-    assert monk_structure_constants(rs, 1, {1}) == {
-        frozenset({1}): (Fraction(1), 1),
-        frozenset({1, 2}): (Fraction(1), 0),
-    }
-    assert monk_structure_constants(rs, 1, {2}) == {
-        frozenset({1, 2}): (Fraction(2), 0)
-    }
     assert monk_structure_constants(rs, 2, {1}) == {
         frozenset({1, 2}): (Fraction(2), 0)
     }

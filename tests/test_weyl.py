@@ -136,15 +136,11 @@ def test_reduced_words_small():
 
 
 def test_reduced_words_a3_longest():
+    # Count, reducedness and element are in the reduced_words_consistency check.
     rs = build_root_system("A3")
     words = reduced_words(rs, (1, 2, 1, 3, 2, 1))
-    assert len(words) == 16
     assert words == sorted(words)
     assert words[0] == (1, 2, 1, 3, 2, 1)
-    target = element_matrix(rs, (1, 2, 1, 3, 2, 1))
-    for w in words:
-        assert is_reduced(rs, w)
-        assert element_matrix(rs, w) == target
 
 
 def test_reduced_words_rejects_non_reduced():
