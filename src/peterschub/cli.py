@@ -45,7 +45,10 @@ EXIT_USAGE = 1
 EXIT_REJECTED = 2
 EXIT_INVARIANT = 3
 
-_SUBSET_SCAN_WARN = 10**8
+# Most index subsets `giambelli --oracle subsets` may test, C(window, l(v)).
+# The scan tests under a million subsets a second, so the cap allows a few
+# minutes of work; E7's full Coxeter class would need 5.5e8 subsets.
+_SUBSET_SCAN_CAP = 10**8
 
 
 class _Parser(argparse.ArgumentParser):
@@ -296,11 +299,11 @@ def _cmd_giambelli(ns: argparse.Namespace) -> tuple[dict, list[str], int]:
         if ns.oracle == "subsets":
             # An unsound (e.g. negative) window is rejected by the oracle.
             est = math.comb(max(window, 0), len(v))
-            if est > _SUBSET_SCAN_WARN:
-                print(
-                    f"warning: subset scan must test about {est} index subsets; "
-                    "this may take an extremely long time",
-                    file=sys.stderr,
+            if est > _SUBSET_SCAN_CAP:
+                raise Rejected(
+                    f"subset scan would test about {est} index subsets, above "
+                    f"the cap of {_SUBSET_SCAN_CAP}; --oracle backtrack sums "
+                    "the same subwords"
                 )
         oracle_val = billey_eval_bruteforce(
             rs, v, word,

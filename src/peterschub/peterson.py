@@ -8,6 +8,18 @@ K is contained in J, which makes the full evaluation grid triangular
 under inclusion and lets products be expanded by back-substitution in
 exact rational arithmetic.
 
+v_K uses each letter of K once, so its reduced words are the linear
+extensions of its heap: a comes before b for every Dynkin edge a-b of K
+with a < b.  Billey's subword sum for p_{v_K}(w_J) is therefore a
+dynamic program over the Dynkin forest induced on K, run on the cached
+word of w_J and its heights, in O(|K| * l(w_J)) steps; the reduced words
+of v_K are never listed.  ``billey_eval_dp`` remains the evaluator for a
+general v and the reference the forest DP is tested against.
+
+In a Monk expansion p_{s_i} * p_{v_K}, both sides vanish at every fixed
+point w_J with J not containing K, so only the constants of subsets
+J containing K are solved for; the rest are zero.
+
 ``build_report`` runs the whole pipeline for one type (longest word,
 inversion heights, Monk and Giambelli evaluations, the backtracking
 oracle where it is cheap) and checks the totals it can check.
@@ -16,10 +28,11 @@ oracle where it is cheap) and checks the totals it can check.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Any, Iterable, Mapping, Sequence
 
 from .billey import (
@@ -123,6 +136,12 @@ def monk_coefficients(word: Word, heights: Sequence[int], rank: int) -> dict[int
     return coeffs
 
 
+@lru_cache(maxsize=None)
+def _monk_at(rs: RootSystem, J: Subset) -> dict[int, int]:
+    """``monk_coefficients`` of the canonical word of w_J; callers only read it."""
+    return monk_coefficients(*_longest(rs, J), rs.rank)
+
+
 def monk_eval(
     rs: RootSystem,
     i: int,
@@ -142,8 +161,11 @@ def monk_eval(
     """
     rs.check_index(i)
     J = full_subset(rs) if J is None else _normalize_subset(rs, J)
-    w, heights = _fixed_point(rs, J, word)
-    return LocalizationValue(monk_coefficients(w, heights, rs.rank)[i], 1)
+    if word is None:
+        coeffs = _monk_at(rs, J)
+    else:
+        coeffs = monk_coefficients(*_fixed_point(rs, J, word), rs.rank)
+    return LocalizationValue(coeffs[i], 1)
 
 
 def giambelli_eval(
@@ -184,6 +206,51 @@ def giambelli_ratio(rs: RootSystem, K: Iterable[int] | None = None) -> Fraction:
     return Fraction(num, giambelli_eval(rs, K).coeff)
 
 
+def _coxeter_class_coeff(
+    rs: RootSystem, K: Subset, word: Word, heights: Sequence[int]
+) -> int:
+    """Coefficient of p_{v_K}(w), from a reduced word of w and its heights.
+
+    A term of the subword sum places each letter a of K at a position of
+    ``word`` carrying a, with a before b for every Dynkin edge a-b of K
+    with a < b, and multiplies the heights there.  Each component of the
+    forest K is summed from its smallest node down: a position of a
+    carries its height times, for each child c, the sum of c's values
+    over the positions after it (c > a) or before it (c < a).
+    """
+    positions: dict[int, list[int]] = {a: [] for a in K}
+    for p, letter in enumerate(word):
+        if letter in positions:
+            positions[letter].append(p)
+    coeff = 1
+    placed: set[int] = set()
+    for root in sorted(K):
+        if root in placed:
+            continue
+        # Breadth-first, so that every node comes after its parent.
+        order, children = [root], {}
+        placed.add(root)
+        for a in order:
+            row = rs.cartan[a - 1]
+            children[a] = [b for b in K if b not in placed and row[b - 1]]
+            placed.update(children[a])
+            order += children[a]
+        values: dict[int, list[int]] = {}
+        for a in reversed(order):
+            pos = positions[a]
+            vals = [heights[p] for p in pos]
+            for c in children[a]:
+                cpos = positions[c]
+                prefix = [0, *accumulate(values.pop(c))]
+                whole = prefix[-1]
+                for k, p in enumerate(pos):
+                    before = prefix[bisect_left(cpos, p)]
+                    vals[k] *= whole - before if c > a else before
+            values[a] = vals
+        coeff *= sum(values[root])
+    return coeff
+
+
 @lru_cache(maxsize=None)
 def _class_eval(rs: RootSystem, K: Subset, J: Subset) -> LocalizationValue:
     """p_{v_K}(w_J) with the empty class equal to 1 at every fixed point.
@@ -195,7 +262,7 @@ def _class_eval(rs: RootSystem, K: Subset, J: Subset) -> LocalizationValue:
         return LocalizationValue(1, 0)
     if not K <= J:
         return LocalizationValue(0, len(K))
-    return billey_eval_dp(rs, coxeter_word(K), _longest(rs, J)[0])
+    return LocalizationValue(_coxeter_class_coeff(rs, K, *_longest(rs, J)), len(K))
 
 
 def class_eval(rs: RootSystem, K: Iterable[int], J: Iterable[int]) -> LocalizationValue:
@@ -203,13 +270,17 @@ def class_eval(rs: RootSystem, K: Iterable[int], J: Iterable[int]) -> Localizati
     return _class_eval(rs, _normalize_subset(rs, K), _normalize_subset(rs, J))
 
 
-def _subsets_ordered(rank: int) -> list[Subset]:
-    """All index subsets, by cardinality then lexicographic: inclusion-compatible."""
-    universe = range(1, rank + 1)
+def _subsets_ordered(rank: int, K: Subset = frozenset()) -> list[Subset]:
+    """All index subsets containing K, by cardinality then lexicographic.
+
+    The order is inclusion-compatible: every subset comes after those it
+    contains.
+    """
+    rest = [j for j in range(1, rank + 1) if j not in K]
     return [
-        frozenset(combo)
-        for size in range(rank + 1)
-        for combo in combinations(universe, size)
+        K | frozenset(combo)
+        for size in range(len(rest) + 1)
+        for combo in combinations(rest, size)
     ]
 
 
@@ -222,10 +293,12 @@ def monk_structure_constants(
 
         p_{s_i} * p_{v_K} = sum_{K'} c_{K'} * t^(1+|K|-|K'|) * p_{v_{K'}}
 
-    by equating evaluations at all 2^rank fixed points w_J and
-    back-substituting along the inclusion-triangular grid.  Every rhs term
-    has t-degree 1+|K| like the product, so the system acts on
-    coefficients alone.  Only nonzero constants are returned, each paired
+    by equating evaluations at the fixed points w_J and back-substituting
+    along the inclusion-triangular grid.  Every rhs term has t-degree
+    1+|K| like the product, so the system acts on coefficients alone.
+    Only J containing K are solved for: at any other J the product
+    vanishes, and by induction so does every c_{K'} with K' inside J, so
+    c_J is zero too.  Only nonzero constants are returned, each paired
     with its t-exponent.
 
     >>> from peterschub.rootsys import build_root_system
@@ -237,21 +310,20 @@ def monk_structure_constants(
     """
     rs.check_index(i)
     K = _normalize_subset(rs, K)
-    solved: dict[Subset, Fraction] = {}
-    for J in _subsets_ordered(rs.rank):
-        acc = Fraction(monk_eval(rs, i, J).coeff * _class_eval(rs, K, J).coeff)
-        for kp, c in solved.items():
-            if c and kp < J:
+    nonzero: dict[Subset, Fraction] = {}
+    for J in _subsets_ordered(rs.rank, K):
+        acc = Fraction(_monk_at(rs, J)[i] * _class_eval(rs, K, J).coeff)
+        for kp, c in nonzero.items():
+            if kp < J:
                 acc -= c * _class_eval(rs, kp, J).coeff
         diag = _class_eval(rs, J, J).coeff
         if diag <= 0:
             raise InvariantViolation(
                 f"diagonal evaluation at {sorted(J)} is {diag}; grid not triangular"
             )
-        solved[J] = acc / diag
-    return {
-        kp: (c, 1 + len(K) - len(kp)) for kp, c in solved.items() if c
-    }
+        if acc:
+            nonzero[J] = acc / diag
+    return {kp: (c, 1 + len(K) - len(kp)) for kp, c in nonzero.items()}
 
 
 def expansion_residuals(
@@ -276,9 +348,10 @@ def expansion_residuals(
             )
     out: dict[Subset, Fraction] = {}
     for J in _subsets_ordered(rs.rank):
-        lhs = Fraction(monk_eval(rs, i, J).coeff * _class_eval(rs, K, J).coeff)
+        # A class vanishes at w_J unless its subset lies in J.
+        lhs = Fraction(_monk_at(rs, J)[i] * _class_eval(rs, K, J).coeff) if K <= J else 0
         rhs = sum(
-            (c * _class_eval(rs, kp, J).coeff for kp, (c, _) in constants.items()),
+            (c * _class_eval(rs, kp, J).coeff for kp, (c, _) in constants.items() if kp <= J),
             Fraction(0),
         )
         out[J] = lhs - rhs

@@ -159,14 +159,18 @@ def test_giambelli_window_requires_oracle(capsys):
     assert code == 2 and "rejected:" in err
 
 
-def test_giambelli_subset_scan_warning(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_SUBSET_SCAN_WARN", 1)
+def test_giambelli_subset_scan_cap(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_SUBSET_SCAN_CAP", 2)
+    # A2's word has 3 letters and v two: C(3, 2) = 3 subsets.
     code, out, err = run(
         capsys, "giambelli", "--type", "A2", "--oracle", "subsets"
     )
-    assert code == 0
-    assert "agreement: yes" in out
-    assert err.startswith("warning: subset scan")
+    assert code == 2 and out == ""
+    assert err.startswith("rejected: subset scan would test about 3 index subsets")
+    assert "the cap of 2" in err
+    monkeypatch.setattr(cli, "_SUBSET_SCAN_CAP", 3)
+    code, out, _ = run(capsys, "giambelli", "--type", "A2", "--oracle", "subsets")
+    assert code == 0 and "agreement: yes" in out
 
 
 def test_giambelli_oracle_disagreement_exits_3(capsys, monkeypatch):
