@@ -460,7 +460,7 @@ def _check_giambelli_reconstruction(level: str) -> str:
 def _check_evaluation_table(level: str) -> str:
     for label in ("A2", "A3"):
         rs = build_root_system(label)
-        subsets = _subsets_ordered(rs.rank)
+        subsets = list(_subsets_ordered(rs.rank))
         for kp in subsets:
             for j in subsets:
                 val = class_eval(rs, kp, j)

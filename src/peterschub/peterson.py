@@ -16,9 +16,25 @@ word of w_J and its heights, in O(|K| * l(w_J)) steps; the reduced words
 of v_K are never listed.  ``billey_eval_dp`` remains the evaluator for a
 general v and the reference the forest DP is tested against.
 
+Every fixed point is evaluated through the connected components of J in
+the Dynkin diagram.  The longest elements of the components commute, so
+w_J is their product and its inversion set the disjoint union of theirs,
+each root keeping its height; a step by letter j changes the height
+vector only at j and its neighbours, so the canonical word of w_J
+restricted to a component P is the canonical word of w_P.  Hence
+p_{v_K}(w_J) is the product, over the components P of J that meet K, of
+p_{v_{K & P}}(w_P), and p_{s_i}(w_J) = p_{s_i}(w_P) for the P holding i.
+Words, heights and class values are cached for connected P only; the
+2^rank fixed points are products of those few values.
+
 In a Monk expansion p_{s_i} * p_{v_K}, both sides vanish at every fixed
 point w_J with J not containing K, so only the constants of subsets
-J containing K are solved for; the rest are zero.
+J containing K are solved for; the rest are zero.  The back-substitution
+runs in integers: the nonzero constants are carried as numerators over
+one common denominator, and a ``Fraction`` is built only for each
+constant found and each nonzero residual.  Both the solve and the
+residual check refuse grids of more than ``MAX_FIXED_POINTS`` fixed
+points before evaluating any.
 
 ``build_report`` runs the whole pipeline for one type (longest word,
 inversion heights, Monk and Giambelli evaluations, the backtracking
@@ -33,7 +49,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations
-from typing import Any, Iterable, Mapping, Sequence
+from math import gcd, lcm, prod
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .billey import (
     LocalizationValue,
@@ -45,16 +62,23 @@ from .errors import InvariantViolation, Rejected
 from .rootsys import RootSystem, height
 from .weyl import (
     Word,
+    _longest_walk,
     _normalize_subset,
     element_vector,
     is_reduced,
-    longest_element_word,
     reduced_words,
 )
 
 Subset = frozenset[int]
 
 StructureConstants = dict[Subset, tuple[Fraction, int]]
+
+# Largest number of fixed points w_J that one Monk solve or residual check
+# walks: 2^(rank - |K|) for the solve, 2^rank for the residuals.  A21 with
+# a one-letter K is at the cap; each doubling beyond it doubles the run.
+MAX_FIXED_POINTS = 2**20
+
+_ZERO = Fraction(0)
 
 
 def coxeter_word(K: Iterable[int]) -> Word:
@@ -84,13 +108,43 @@ def full_subset(rs: RootSystem) -> Subset:
 
 @lru_cache(maxsize=None)
 def _longest(rs: RootSystem, J: Subset) -> tuple[Word, tuple[int, ...]]:
-    """The canonical word of w_J with its inversion heights.
+    """The canonical word of w_J with its inversion heights, from one walk.
 
     Cached so that each fixed point is walked once, however many classes
-    are evaluated at it.
+    are evaluated at it.  Evaluations call it on connected J only.
     """
-    word = longest_element_word(rs, J)
-    return word, tuple(inversion_heights(rs, word))
+    return _longest_walk(rs, J)
+
+
+@lru_cache(maxsize=None)
+def _tree_order(rs: RootSystem) -> tuple[tuple[int, int], ...]:
+    """The Dynkin nodes breadth-first from node 1, each with its parent (0 at 1)."""
+    order, parent = [1], {1: 0}
+    for a in order:
+        for b in range(1, rs.rank + 1):
+            if b not in parent and rs.cartan[a - 1][b - 1]:
+                parent[b] = a
+                order.append(b)
+    return tuple((a, parent[a]) for a in order)
+
+
+def _components(rs: RootSystem, J: Subset) -> list[Subset]:
+    """The connected components of J in the Dynkin diagram.
+
+    The diagram is a tree, so a node of J joins its parent's component
+    when the parent is in J and starts a new one otherwise.
+    """
+    owner: dict[int, list[int]] = {}
+    out = []
+    for a, parent in _tree_order(rs):
+        if a in J:
+            comp = owner.get(parent)
+            if comp is None:
+                comp = []
+                out.append(comp)
+            comp.append(a)
+            owner[a] = comp
+    return [frozenset(comp) for comp in out]
 
 
 def _fixed_point_word(
@@ -137,9 +191,17 @@ def monk_coefficients(word: Word, heights: Sequence[int], rank: int) -> dict[int
 
 
 @lru_cache(maxsize=None)
-def _monk_at(rs: RootSystem, J: Subset) -> dict[int, int]:
-    """``monk_coefficients`` of the canonical word of w_J; callers only read it."""
-    return monk_coefficients(*_longest(rs, J), rs.rank)
+def _monk_at(rs: RootSystem, P: Subset) -> dict[int, int]:
+    """``monk_coefficients`` of w_P for connected P; callers only read it."""
+    return monk_coefficients(*_longest(rs, P), rs.rank)
+
+
+def _monk_in(rs: RootSystem, i: int, comps: Sequence[Subset]) -> int:
+    """Coefficient of p_{s_i}(w_J), J given by its components; 0 if i is not in J."""
+    for P in comps:
+        if i in P:
+            return _monk_at(rs, P)[i]
+    return 0
 
 
 def monk_eval(
@@ -162,9 +224,8 @@ def monk_eval(
     rs.check_index(i)
     J = full_subset(rs) if J is None else _normalize_subset(rs, J)
     if word is None:
-        coeffs = _monk_at(rs, J)
-    else:
-        coeffs = monk_coefficients(*_fixed_point(rs, J, word), rs.rank)
+        return LocalizationValue(_monk_in(rs, i, _components(rs, J)), 1)
+    coeffs = monk_coefficients(*_fixed_point(rs, J, word), rs.rank)
     return LocalizationValue(coeffs[i], 1)
 
 
@@ -252,17 +313,33 @@ def _coxeter_class_coeff(
 
 
 @lru_cache(maxsize=None)
+def _connected_class(rs: RootSystem, S: Subset, P: Subset) -> int:
+    """Coefficient of p_{v_S}(w_P) for nonempty S inside a connected P."""
+    return _coxeter_class_coeff(rs, S, *_longest(rs, P))
+
+
+def _class_in(rs: RootSystem, K: Subset, comps: Sequence[Subset]) -> int:
+    """Coefficient of p_{v_K}(w_J) for K inside J, J given by its components.
+
+    The product of the class values of K's part in each component of J;
+    1 for the empty class.
+    """
+    coeff = 1
+    for P in comps:
+        S = K & P
+        if S:
+            coeff *= _connected_class(rs, S, P)
+    return coeff
+
+
 def _class_eval(rs: RootSystem, K: Subset, J: Subset) -> LocalizationValue:
     """p_{v_K}(w_J) with the empty class equal to 1 at every fixed point.
 
     Vanishes whenever K is not contained in J: every reduced word of v_K
     uses all letters of K while w_J's words use only letters of J.
     """
-    if not K:
-        return LocalizationValue(1, 0)
-    if not K <= J:
-        return LocalizationValue(0, len(K))
-    return LocalizationValue(_coxeter_class_coeff(rs, K, *_longest(rs, J)), len(K))
+    coeff = _class_in(rs, K, _components(rs, J)) if K <= J else 0
+    return LocalizationValue(coeff, len(K))
 
 
 def class_eval(rs: RootSystem, K: Iterable[int], J: Iterable[int]) -> LocalizationValue:
@@ -270,18 +347,26 @@ def class_eval(rs: RootSystem, K: Iterable[int], J: Iterable[int]) -> Localizati
     return _class_eval(rs, _normalize_subset(rs, K), _normalize_subset(rs, J))
 
 
-def _subsets_ordered(rank: int, K: Subset = frozenset()) -> list[Subset]:
+def _subsets_ordered(rank: int, K: Subset = frozenset()) -> Iterator[Subset]:
     """All index subsets containing K, by cardinality then lexicographic.
 
     The order is inclusion-compatible: every subset comes after those it
-    contains.
+    contains.  The subsets are generated one at a time, so a walk over
+    them holds only what it keeps.
     """
     rest = [j for j in range(1, rank + 1) if j not in K]
-    return [
-        K | frozenset(combo)
-        for size in range(len(rest) + 1)
-        for combo in combinations(rest, size)
-    ]
+    for size in range(len(rest) + 1):
+        for combo in combinations(rest, size):
+            yield K | frozenset(combo)
+
+
+def _check_fixed_points(exponent: int) -> None:
+    """Refuse a grid of 2^exponent fixed points above ``MAX_FIXED_POINTS``."""
+    if 1 << exponent > MAX_FIXED_POINTS:
+        raise Rejected(
+            f"the grid has 2^{exponent} fixed points, above the cap of "
+            f"{MAX_FIXED_POINTS} (MAX_FIXED_POINTS)"
+        )
 
 
 def monk_structure_constants(
@@ -299,7 +384,8 @@ def monk_structure_constants(
     Only J containing K are solved for: at any other J the product
     vanishes, and by induction so does every c_{K'} with K' inside J, so
     c_J is zero too.  Only nonzero constants are returned, each paired
-    with its t-exponent.
+    with its t-exponent.  Rejects K with more than ``MAX_FIXED_POINTS``
+    subsets J containing it.
 
     >>> from peterschub.rootsys import build_root_system
     >>> rs = build_root_system("A2")
@@ -310,20 +396,34 @@ def monk_structure_constants(
     """
     rs.check_index(i)
     K = _normalize_subset(rs, K)
-    nonzero: dict[Subset, Fraction] = {}
+    _check_fixed_points(rs.rank - len(K))
+    # The constants found so far as numerators over the common denominator.
+    nums: dict[Subset, int] = {}
+    denom = 1
+    out: StructureConstants = {}
     for J in _subsets_ordered(rs.rank, K):
-        acc = Fraction(_monk_at(rs, J)[i] * _class_eval(rs, K, J).coeff)
-        for kp, c in nonzero.items():
+        comps = _components(rs, J)
+        acc = _monk_in(rs, i, comps) * _class_in(rs, K, comps) * denom
+        for kp, n in nums.items():
             if kp < J:
-                acc -= c * _class_eval(rs, kp, J).coeff
-        diag = _class_eval(rs, J, J).coeff
+                acc -= n * _class_in(rs, kp, comps)
+        diag = prod(_connected_class(rs, P, P) for P in comps)
         if diag <= 0:
             raise InvariantViolation(
                 f"diagonal evaluation at {sorted(J)} is {diag}; grid not triangular"
             )
         if acc:
-            nonzero[J] = acc / diag
-    return {kp: (c, 1 + len(K) - len(kp)) for kp, c in nonzero.items()}
+            # c_J = acc / (denom * diag), in lowest terms num / den.
+            g = gcd(acc, denom * diag)
+            num, den = acc // g, denom * diag // g
+            common = lcm(denom, den)
+            if common != denom:
+                scale = common // denom
+                nums = {kp: n * scale for kp, n in nums.items()}
+                denom = common
+            nums[J] = num * (denom // den)
+            out[J] = (Fraction(num, den), 1 + len(K) - len(J))
+    return out
 
 
 def expansion_residuals(
@@ -337,7 +437,8 @@ def expansion_residuals(
     Recomputes both sides of the expansion from scratch at each w_J and
     returns lhs minus rhs coefficients.  Rejects a constants map whose
     t-exponents do not balance the degrees, since its residual would not
-    be a comparison of like monomials.
+    be a comparison of like monomials, and types with more than
+    ``MAX_FIXED_POINTS`` fixed points.
     """
     rs.check_index(i)
     K = _normalize_subset(rs, K)
@@ -346,15 +447,26 @@ def expansion_residuals(
             raise Rejected(
                 f"exponent {exponent} for {sorted(kp)} does not balance degrees"
             )
+    _check_fixed_points(rs.rank)
+    # Both sides times the common denominator of the constants, in integers.
+    denom = lcm(*(c.denominator for c, _ in constants.values()))
+    terms = [
+        (kp, c.numerator * (denom // c.denominator)) for kp, (c, _) in constants.items()
+    ]
     out: dict[Subset, Fraction] = {}
     for J in _subsets_ordered(rs.rank):
-        # A class vanishes at w_J unless its subset lies in J.
-        lhs = Fraction(_monk_at(rs, J)[i] * _class_eval(rs, K, J).coeff) if K <= J else 0
-        rhs = sum(
-            (c * _class_eval(rs, kp, J).coeff for kp, (c, _) in constants.items() if kp <= J),
-            Fraction(0),
-        )
-        out[J] = lhs - rhs
+        # A class vanishes at w_J unless its subset lies in J, so most
+        # fixed points need no evaluation and no components.
+        comps, acc = None, 0
+        if K <= J:
+            comps = _components(rs, J)
+            acc = _monk_in(rs, i, comps) * _class_in(rs, K, comps) * denom
+        for kp, n in terms:
+            if kp <= J:
+                if comps is None:
+                    comps = _components(rs, J)
+                acc -= n * _class_in(rs, kp, comps)
+        out[J] = Fraction(acc, denom) if acc else _ZERO
     return out
 
 

@@ -157,9 +157,7 @@ class RootSystem:
     positives: tuple[Root, ...]
 
     def __hash__(self) -> int:
-        # Equal systems have equal labels.  Hashing the label alone keeps
-        # cache lookups keyed by a system from rehashing every positive root.
-        return hash(self.label)
+        return self._hash
 
     @property
     def rank(self) -> int:
@@ -175,6 +173,13 @@ class RootSystem:
             raise Rejected(
                 f"generator index {i} out of range 1..{self.rank} for {self.label}"
             )
+
+    @cached_property
+    def _hash(self) -> int:
+        # Equal systems have equal labels.  Hashing the label alone, once,
+        # keeps cache lookups keyed by a system from rehashing every
+        # positive root or even the label dataclass.
+        return hash(self.label)
 
     @cached_property
     def _positive_set(self) -> frozenset[Root]:

@@ -186,17 +186,29 @@ def longest_element_word(rs: RootSystem, subset: Iterable[int]) -> Word:
     >>> longest_element_word(build_root_system("A2"), {1, 2})
     (1, 2, 1)
     """
+    return _longest_walk(rs, subset)[0]
+
+
+def _longest_walk(rs: RootSystem, subset: Iterable[int]) -> tuple[Word, tuple[int, ...]]:
+    """``longest_element_word`` with the ``mu_j`` recorded at each append.
+
+    Each recorded entry is the height of that position's inversion root,
+    so the word's ``letter_heights`` come out of the same walk.
+    """
     order = sorted(_normalize_subset(rs, subset))
     mu = (1,) * rs.rank
     word: list[int] = []
+    heights: list[int] = []
     while True:
         for j in order:
-            if mu[j - 1] > 0:
+            h = mu[j - 1]
+            if h > 0:
                 word.append(j)
+                heights.append(h)
                 mu = _step(rs, mu, j)
                 break
         else:
-            return tuple(word)
+            return tuple(word), tuple(heights)
 
 
 def _descent_graph(

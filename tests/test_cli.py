@@ -205,6 +205,15 @@ def test_constants_text_shows_t_powers(capsys):
     assert "* t" in out
 
 
+def test_constants_fixed_point_cap(capsys):
+    # A64 with K = {1} would solve over 2^63 fixed points.
+    code, out, err = run(capsys, "constants", "--type", "A64", "-i", "1", "--subset", "1")
+    assert code == 2 and out == ""
+    assert "2^63 fixed points" in err and "MAX_FIXED_POINTS" in err
+    code, out, _ = run(capsys, "constants", "--type", "A12", "-i", "1", "--subset", "1")
+    assert code == 0 and "expands as:" in out
+
+
 # --- report ------------------------------------------------------------------
 
 

@@ -7,7 +7,9 @@ subsequence DP per reduced word of v_K), the backtracking oracle, and, for
 commuting letters, the product of Monk values.  ``monk_structure_constants``
 solves only at the fixed points w_J with J containing K; the dense
 reference kept here solves at every fixed point, with every class value
-taken from ``billey_eval_dp``, the way the module did before.
+taken from ``billey_eval_dp``, the way the module did before.  Values at a
+disconnected J are products over its components; they are held equal to
+``billey_eval_dp`` and ``monk_coefficients`` on the whole word of w_J.
 """
 
 from fractions import Fraction
@@ -18,17 +20,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from peterschub import peterson
-from peterschub.billey import billey_eval_bruteforce, billey_eval_dp
+from peterschub.billey import billey_eval_bruteforce, billey_eval_dp, inversion_heights
 from peterschub.peterson import (
     _subsets_ordered,
     class_eval,
     coxeter_word,
     full_subset,
+    monk_coefficients,
     monk_eval,
     monk_structure_constants,
 )
 from peterschub.rootsys import build_root_system
-from peterschub.weyl import longest_element_word
+from peterschub.weyl import _longest_walk as longest_walk, longest_element_word
 
 RANK_LE_4 = ("A1", "A2", "A3", "A4", "B2", "B3", "B4",
              "C2", "C3", "C4", "D3", "D4", "F4", "G2")
@@ -122,6 +125,46 @@ def test_commuting_letters_give_the_product_of_monk_values(label):
         assert class_eval(rs, K, J).coeff == product
 
 
+# --- the factorization over the components of J ------------------------------
+
+
+def is_connected(rs, J):
+    """Whether J induces a connected Dynkin subdiagram (a local walk)."""
+    J = set(J)
+    reached, todo = set(), [min(J)]
+    while todo:
+        a = todo.pop()
+        if a not in reached:
+            reached.add(a)
+            todo += [b for b in J if rs.cartan[a - 1][b - 1]]
+    return reached == J
+
+
+@st.composite
+def disconnected_pair(draw):
+    rs = build_root_system(draw(st.sampled_from(("A12", "B9", "D10", "E8"))))
+    indices = range(1, rs.rank + 1)
+    J = draw(
+        st.sets(st.sampled_from(indices), min_size=2)
+        .filter(lambda J: not is_connected(rs, J))
+    )
+    K = draw(st.sets(st.sampled_from(sorted(J)), min_size=1, max_size=7))
+    return rs, frozenset(K), frozenset(J)
+
+
+@given(disconnected_pair())
+@settings(deadline=None, max_examples=40)
+def test_factored_values_match_the_whole_word_of_w_j(case):
+    # The class and Monk values at a disconnected J are products of values
+    # on its components; the references walk the whole canonical w_J word.
+    rs, K, J = case
+    word = longest_element_word(rs, J)
+    assert class_eval(rs, K, J) == billey_eval_dp(rs, coxeter_word(K), word)
+    whole = monk_coefficients(word, inversion_heights(rs, word), rs.rank)
+    for i in range(1, rs.rank + 1):
+        assert monk_eval(rs, i, J).coeff == whole[i], i
+
+
 # --- the sparse solve ----------------------------------------------------------
 
 
@@ -137,12 +180,23 @@ def test_sparse_solve_matches_the_dense_reference(label):
                 assert kp == K or (K < kp and len(kp) == len(K) + 1)
 
 
-def test_solve_evaluates_only_the_supersets_of_k():
+def test_solve_evaluates_only_the_supersets_of_k(monkeypatch):
     rs = build_root_system("A10")
-    for fn in (peterson._class_eval, peterson._longest, peterson._monk_at):
+    for fn in (peterson._connected_class, peterson._longest, peterson._monk_at):
         fn.cache_clear()
+    walked = []
+
+    def walk(rs, J):
+        walked.append(J)
+        return longest_walk(rs, J)
+
+    monkeypatch.setattr(peterson, "_longest_walk", walk)
     monk_structure_constants(rs, 1, {1})
-    # 2^9 fixed points contain {1}: the class of {1}, the diagonal and the
-    # one other constant, {1, 2}, there.  A solve over all 2^10 fixed points
-    # caches over 2^11 values.
-    assert peterson._class_eval.cache_info().currsize <= 3 * 2**9
+    # The 2^9 fixed points containing {1} factor over their components, so
+    # only connected subsets are walked: A10 has 55 of them.
+    assert all(len(peterson._components(rs, J)) == 1 for J in walked)
+    assert len(walked) == peterson._longest.cache_info().currsize <= 55
+    # Per connected P, the diagonal class of P; on the ten P that hold 1,
+    # also the classes of {1} and {1, 2} (the other constant).  The parent
+    # cache, keyed by (K', J) over every J, held 1278 values here.
+    assert peterson._connected_class.cache_info().currsize <= 55 + 2 * 10

@@ -16,12 +16,14 @@ from peterschub.billey import inversion_heights
 from peterschub.errors import Rejected
 from peterschub.rootsys import build_root_system, height, is_negative_root, is_positive_root
 from peterschub.weyl import (
+    _longest_walk,
     braid_variant,
     element_matrix,
     element_vector,
     element_words,
     inversion_roots,
     is_reduced,
+    letter_heights,
     longest_element_word,
     reduced_words,
 )
@@ -148,6 +150,16 @@ def test_longest_words_match_matrix_greedy(label):
     for size in range(rs.rank + 1):
         for subset in combinations(range(1, rs.rank + 1), size):
             assert longest_element_word(rs, subset) == ref_longest(rs, subset)
+
+
+@pytest.mark.parametrize("label", RANK_LE_4)
+def test_longest_walk_records_the_letter_heights(label):
+    rs = build_root_system(label)
+    for size in range(rs.rank + 1):
+        for subset in combinations(range(1, rs.rank + 1), size):
+            word, heights = _longest_walk(rs, subset)
+            assert word == longest_element_word(rs, subset)
+            assert list(heights) == letter_heights(rs, word)
 
 
 @pytest.mark.parametrize("label", ("A3", "B3", "G2"))

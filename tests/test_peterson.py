@@ -211,5 +211,13 @@ def test_expansion_residuals_reject_bad_exponent():
         expansion_residuals(rs, 1, {2}, {frozenset({1, 2}): (Fraction(2), 1)})
 
 
+def test_expansion_residuals_reject_too_many_fixed_points():
+    # A21 has 2^21 fixed points, twice MAX_FIXED_POINTS; the solve for
+    # K = {1} walks 2^20 of them and stays inside the cap.
+    rs = build_root_system("A21")
+    with pytest.raises(Rejected, match="MAX_FIXED_POINTS"):
+        expansion_residuals(rs, 1, {1}, {})
+
+
 def test_full_subset():
     assert full_subset(build_root_system("B3")) == frozenset({1, 2, 3})
