@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations
-from math import gcd, lcm, prod
+from math import lcm, prod
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .billey import (
@@ -413,16 +413,13 @@ def monk_structure_constants(
                 f"diagonal evaluation at {sorted(J)} is {diag}; grid not triangular"
             )
         if acc:
-            # c_J = acc / (denom * diag), in lowest terms num / den.
-            g = gcd(acc, denom * diag)
-            num, den = acc // g, denom * diag // g
-            common = lcm(denom, den)
-            if common != denom:
-                scale = common // denom
-                nums = {kp: n * scale for kp, n in nums.items()}
+            c = Fraction(acc, denom * diag)
+            if denom % c.denominator:
+                common = lcm(denom, c.denominator)
+                nums = {kp: n * (common // denom) for kp, n in nums.items()}
                 denom = common
-            nums[J] = num * (denom // den)
-            out[J] = (Fraction(num, den), 1 + len(K) - len(J))
+            nums[J] = c.numerator * (denom // c.denominator)
+            out[J] = (c, 1 + len(K) - len(J))
     return out
 
 

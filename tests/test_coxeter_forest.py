@@ -197,6 +197,6 @@ def test_solve_evaluates_only_the_supersets_of_k(monkeypatch):
     assert all(len(peterson._components(rs, J)) == 1 for J in walked)
     assert len(walked) == peterson._longest.cache_info().currsize <= 55
     # Per connected P, the diagonal class of P; on the ten P that hold 1,
-    # also the classes of {1} and {1, 2} (the other constant).  The parent
-    # cache, keyed by (K', J) over every J, held 1278 values here.
+    # also the classes of {1} and {1, 2} (the other constant).  A cache
+    # keyed by (K', J) over the 2^9 fixed points would hold over 1000.
     assert peterson._connected_class.cache_info().currsize <= 55 + 2 * 10
