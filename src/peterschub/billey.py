@@ -19,11 +19,17 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 from typing import Sequence
 
 from .errors import Rejected
 from .rootsys import RootSystem
-from .weyl import Word, is_reduced, letter_heights, reduced_words
+from .weyl import Word, element_vector, is_reduced, letter_heights, reduced_words
+
+# Most index subsets the full subset scan may test, C(window, l(v)).
+# The scan tests under a million subsets a second, so the cap allows a few
+# minutes of work; E7's full Coxeter class would need 5.5e8 subsets.
+_SUBSET_SCAN_CAP = 10**8
 
 
 @dataclass(frozen=True)
@@ -114,19 +120,16 @@ def earliest_sound_window(rs: RootSystem, v: Sequence[int], w: Sequence[int]) ->
     """Smallest prefix length of ``w`` that provably loses no subwords of v.
 
     Every embedding of a pattern u ends at a position carrying u's final
-    letter, so restricting to the prefix containing the last occurrence of
-    every pattern's final letter (and at least l(v) positions) is safe.
+    letter, a right descent of v (``mu_j < 0`` in v's height vector), so
+    restricting to the prefix containing the last occurrence of every
+    right descent (and at least l(v) positions) is safe.
     """
     v, w, _ = _check_pair(rs, v, w)
+    descents = {j for j, h in enumerate(element_vector(rs, v), start=1) if h < 0}
     window = len(v)
-    for pattern in _patterns(rs, v):
-        if not pattern:
-            continue
-        last = pattern[-1]
-        for pos in range(len(w), 0, -1):
-            if w[pos - 1] == last:
-                window = max(window, pos)
-                break
+    for pos, letter in enumerate(w, start=1):
+        if letter in descents:
+            window = max(window, pos)
     return window
 
 
@@ -144,16 +147,25 @@ def billey_eval_bruteforce(
     sums the products of inversion heights.  The default backtracks over
     letter positions; ``full_subset_scan=True`` instead tests every
     combination of ``window`` choose l(v) indices, which is faithful to
-    the classical approach but exponentially slower.
+    the classical approach but exponentially slower, and is rejected
+    when that count exceeds ``_SUBSET_SCAN_CAP``.
 
     An explicit window must be sound: at least l(v), and no smaller than
     the last occurrence in ``w`` of any pattern's final letter.  Unsound
     windows are rejected with the earliest sound window in the diagnostic.
     """
     v, w, weights = _check_pair(rs, v, w)
-    if window is None:
-        window = len(w)
-    else:
+    limit = len(w) if window is None else window
+    if full_subset_scan:
+        # An unsound (e.g. negative) window is rejected below.
+        est = comb(max(limit, 0), len(v))
+        if est > _SUBSET_SCAN_CAP:
+            raise Rejected(
+                f"subset scan would test about {est} index subsets, above "
+                f"the cap of {_SUBSET_SCAN_CAP}; --oracle backtrack sums "
+                "the same subwords"
+            )
+    if window is not None:
         if window > len(w):
             raise Rejected(f"window {window} exceeds word length {len(w)}")
         sound = earliest_sound_window(rs, v, w)
@@ -164,9 +176,9 @@ def billey_eval_bruteforce(
             )
     patterns = _patterns(rs, v)
     if full_subset_scan:
-        total = _subset_scan(w, weights, patterns, window, len(v))
+        total = _subset_scan(w, weights, patterns, limit, len(v))
     else:
-        total = sum(_backtrack(p, w, weights, window) for p in patterns)
+        total = sum(_backtrack(p, w, weights, limit) for p in patterns)
     return LocalizationValue(coeff=total, degree=len(v))
 
 

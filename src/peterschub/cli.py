@@ -18,17 +18,14 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from fractions import Fraction
 from typing import Any, Callable, Sequence
 
 from .billey import LocalizationValue, billey_eval_bruteforce, billey_eval_dp
-from .checks import run_checks
 from .errors import InvariantViolation, Rejected
 from .peterson import (
     _fixed_point,
-    _fixed_point_word,
     build_report,
     coxeter_word,
     full_subset,
@@ -44,11 +41,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_REJECTED = 2
 EXIT_INVARIANT = 3
-
-# Most index subsets `giambelli --oracle subsets` may test, C(window, l(v)).
-# The scan tests under a million subsets a second, so the cap allows a few
-# minutes of work; E7's full Coxeter class would need 5.5e8 subsets.
-_SUBSET_SCAN_CAP = 10**8
 
 
 class _Parser(argparse.ArgumentParser):
@@ -284,7 +276,7 @@ def _cmd_giambelli(ns: argparse.Namespace) -> tuple[dict, list[str], int]:
     if ns.window is not None and ns.oracle is None:
         raise Rejected("--window only applies to an --oracle run")
     # The seed word is validated once, for the dp and the oracle alike.
-    word = _fixed_point_word(rs, frozenset(subset), ns.seed_word)
+    word = _fixed_point(rs, frozenset(subset), ns.seed_word)[0]
     v = coxeter_word(subset)
     val = billey_eval_dp(rs, v, word)
     payload: dict[str, Any] = {
@@ -296,15 +288,6 @@ def _cmd_giambelli(ns: argparse.Namespace) -> tuple[dict, list[str], int]:
     lines = [f"p_v(w) = {val}  (dp)"]
     if ns.oracle is not None:
         window = ns.window if ns.window is not None else len(word)
-        if ns.oracle == "subsets":
-            # An unsound (e.g. negative) window is rejected by the oracle.
-            est = math.comb(max(window, 0), len(v))
-            if est > _SUBSET_SCAN_CAP:
-                raise Rejected(
-                    f"subset scan would test about {est} index subsets, above "
-                    f"the cap of {_SUBSET_SCAN_CAP}; --oracle backtrack sums "
-                    "the same subwords"
-                )
         oracle_val = billey_eval_bruteforce(
             rs, v, word,
             window=ns.window,
@@ -379,6 +362,9 @@ def _cmd_report(ns: argparse.Namespace) -> tuple[dict, list[str], int]:
 
 
 def _cmd_verify(ns: argparse.Namespace) -> tuple[dict, list[str], int]:
+    # Only verify needs the registry, so it stays off every other startup.
+    from .checks import run_checks
+
     results = run_checks(ns.level)
     failed = [r for r in results if not r.ok]
     payload = {

@@ -11,10 +11,11 @@ exact rational arithmetic.
 v_K uses each letter of K once, so its reduced words are the linear
 extensions of its heap: a comes before b for every Dynkin edge a-b of K
 with a < b.  Billey's subword sum for p_{v_K}(w_J) is therefore a
-dynamic program over the Dynkin forest induced on K, run on the cached
-word of w_J and its heights, in O(|K| * l(w_J)) steps; the reduced words
-of v_K are never listed.  ``billey_eval_dp`` remains the evaluator for a
-general v and the reference the forest DP is tested against.
+dynamic program over the Dynkin forest induced on K, walked in the
+diagram's tree order on the cached word of w_J and its heights, in
+O(|K| * l(w_J)) steps; the reduced words of v_K are never listed.
+``billey_eval_dp`` remains the evaluator for a general v and the
+reference the forest DP is tested against.
 
 Every fixed point is evaluated through the connected components of J in
 the Dynkin diagram.  The longest elements of the components commute, so
@@ -52,12 +53,7 @@ from itertools import accumulate, combinations
 from math import lcm, prod
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
-from .billey import (
-    LocalizationValue,
-    billey_eval_bruteforce,
-    billey_eval_dp,
-    inversion_heights,
-)
+from .billey import LocalizationValue, billey_eval_bruteforce, billey_eval_dp
 from .errors import InvariantViolation, Rejected
 from .rootsys import RootSystem, height
 from .weyl import (
@@ -65,7 +61,7 @@ from .weyl import (
     _longest_walk,
     _normalize_subset,
     element_vector,
-    is_reduced,
+    letter_heights,
     reduced_words,
 )
 
@@ -111,7 +107,7 @@ def _longest(rs: RootSystem, J: Subset) -> tuple[Word, tuple[int, ...]]:
     """The canonical word of w_J with its inversion heights, from one walk.
 
     Cached so that each fixed point is walked once, however many classes
-    are evaluated at it.  Evaluations call it on connected J only.
+    are evaluated at it.  ``_fixed_point`` calls it on any J, connected or not.
     """
     return _longest_walk(rs, J)
 
@@ -147,32 +143,23 @@ def _components(rs: RootSystem, J: Subset) -> list[Subset]:
     return [frozenset(comp) for comp in out]
 
 
-def _fixed_point_word(
+def _fixed_point(
     rs: RootSystem, J: Subset, word: Sequence[int] | None
-) -> Word:
-    """The canonical word of w_J, or a validated alternative word for it."""
-    canonical = _longest(rs, J)[0]
+) -> tuple[Word, tuple[int, ...]]:
+    """The canonical word of w_J, or ``word`` once validated, with its heights."""
+    canonical = _longest(rs, J)
     if word is None:
         return canonical
     word = tuple(word)
-    if not is_reduced(rs, word):
+    heights = tuple(letter_heights(rs, word))
+    if not all(h > 0 for h in heights):
         raise Rejected(f"alternative word {word} is not reduced")
-    if element_vector(rs, word) != element_vector(rs, canonical):
+    if element_vector(rs, word) != element_vector(rs, canonical[0]):
         raise Rejected(
             f"alternative word {word} is not a reduced word "
             f"for the longest element of {sorted(J)}"
         )
-    return word
-
-
-def _fixed_point(
-    rs: RootSystem, J: Subset, word: Sequence[int] | None
-) -> tuple[Word, tuple[int, ...]]:
-    """A reduced word of w_J with its inversion heights (see _fixed_point_word)."""
-    if word is None:
-        return _longest(rs, J)
-    word = _fixed_point_word(rs, J, word)
-    return word, tuple(inversion_heights(rs, word))
+    return word, heights
 
 
 def monk_coefficients(word: Word, heights: Sequence[int], rank: int) -> dict[int, int]:
@@ -243,8 +230,7 @@ def giambelli_eval(
     """
     K = full_subset(rs) if K is None else _normalize_subset(rs, K)
     v = coxeter_word(K)
-    w = _fixed_point_word(rs, K, word)
-    return billey_eval_dp(rs, v, w)
+    return billey_eval_dp(rs, v, _fixed_point(rs, K, word)[0])
 
 
 def giambelli_ratio(rs: RootSystem, K: Iterable[int] | None = None) -> Fraction:
@@ -261,61 +247,48 @@ def giambelli_ratio(rs: RootSystem, K: Iterable[int] | None = None) -> Fraction:
     Fraction(1, 1)
     """
     K = full_subset(rs) if K is None else _normalize_subset(rs, K)
-    num = 1
-    for i in sorted(K):
-        num *= monk_eval(rs, i, K).coeff
+    num = prod(monk_eval(rs, i, K).coeff for i in K)
     return Fraction(num, giambelli_eval(rs, K).coeff)
-
-
-def _coxeter_class_coeff(
-    rs: RootSystem, K: Subset, word: Word, heights: Sequence[int]
-) -> int:
-    """Coefficient of p_{v_K}(w), from a reduced word of w and its heights.
-
-    A term of the subword sum places each letter a of K at a position of
-    ``word`` carrying a, with a before b for every Dynkin edge a-b of K
-    with a < b, and multiplies the heights there.  Each component of the
-    forest K is summed from its smallest node down: a position of a
-    carries its height times, for each child c, the sum of c's values
-    over the positions after it (c > a) or before it (c < a).
-    """
-    positions: dict[int, list[int]] = {a: [] for a in K}
-    for p, letter in enumerate(word):
-        if letter in positions:
-            positions[letter].append(p)
-    coeff = 1
-    placed: set[int] = set()
-    for root in sorted(K):
-        if root in placed:
-            continue
-        # Breadth-first, so that every node comes after its parent.
-        order, children = [root], {}
-        placed.add(root)
-        for a in order:
-            row = rs.cartan[a - 1]
-            children[a] = [b for b in K if b not in placed and row[b - 1]]
-            placed.update(children[a])
-            order += children[a]
-        values: dict[int, list[int]] = {}
-        for a in reversed(order):
-            pos = positions[a]
-            vals = [heights[p] for p in pos]
-            for c in children[a]:
-                cpos = positions[c]
-                prefix = [0, *accumulate(values.pop(c))]
-                whole = prefix[-1]
-                for k, p in enumerate(pos):
-                    before = prefix[bisect_left(cpos, p)]
-                    vals[k] *= whole - before if c > a else before
-            values[a] = vals
-        coeff *= sum(values[root])
-    return coeff
 
 
 @lru_cache(maxsize=None)
 def _connected_class(rs: RootSystem, S: Subset, P: Subset) -> int:
-    """Coefficient of p_{v_S}(w_P) for nonempty S inside a connected P."""
-    return _coxeter_class_coeff(rs, S, *_longest(rs, P))
+    """Coefficient of p_{v_S}(w_P) for nonempty S inside a connected P.
+
+    A term of the subword sum places each letter a of S at a position of
+    w_P's word carrying a, with a before b for every Dynkin edge a-b of S
+    with a < b, and multiplies the heights there.  S is summed children
+    first along ``_tree_order``: a position of a carries its height
+    times, for each child c, the sum of c's values over the positions
+    after it (c > a) or before it (c < a).  A node whose parent is not in
+    S roots a component, one factor of the product; the diagram is a
+    tree, so the sum does not depend on the roots.
+    """
+    word, heights = _longest(rs, P)
+    positions: dict[int, list[int]] = {a: [] for a in S}
+    for p, letter in enumerate(word):
+        if letter in positions:
+            positions[letter].append(p)
+    # The values of the nodes of S already summed, under their parent.
+    pending: dict[int, list[tuple[int, list[int]]]] = {}
+    coeff = 1
+    for a, parent in reversed(_tree_order(rs)):
+        if a not in S:
+            continue
+        pos = positions[a]
+        vals = [heights[p] for p in pos]
+        for c, cvals in pending.pop(a, ()):
+            cpos = positions[c]
+            prefix = [0, *accumulate(cvals)]
+            whole = prefix[-1]
+            for k, p in enumerate(pos):
+                before = prefix[bisect_left(cpos, p)]
+                vals[k] *= whole - before if c > a else before
+        if parent in S:
+            pending.setdefault(parent, []).append((a, vals))
+        else:
+            coeff *= sum(vals)
+    return coeff
 
 
 def _class_in(rs: RootSystem, K: Subset, comps: Sequence[Subset]) -> int:
@@ -502,10 +475,9 @@ def build_report(rs: RootSystem, seed_word: Word | None = None) -> ReportRecord:
         return now
 
     t = t_start
-    # The seed word is validated here once; later stages take it as given.
-    word = _fixed_point_word(rs, full_subset(rs), seed_word)
+    # One walk validates the seed word and gives its heights; that stage is empty.
+    word, heights = _fixed_point(rs, full_subset(rs), seed_word)
     t = stage("longest", t)
-    heights = tuple(inversion_heights(rs, word))
     t = stage("heights", t)
     monk = monk_coefficients(word, heights, rs.rank)
     t = stage("monk", t)
@@ -536,10 +508,7 @@ def build_report(rs: RootSystem, seed_word: Word | None = None) -> ReportRecord:
     if oracle is not None and not oracle["agrees"]:
         raise InvariantViolation("oracle evaluation disagrees with the dp")
 
-    num = 1
-    for c in monk.values():
-        num *= c
-    ratio = Fraction(num, giambelli.coeff)
+    ratio = Fraction(prod(monk.values()), giambelli.coeff)
     timings["total"] = int((time.perf_counter() - t_start) * 1000)
     return ReportRecord(
         type_label=str(rs.label),

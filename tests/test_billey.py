@@ -2,6 +2,7 @@
 
 import pytest
 
+import peterschub.billey as billey
 from peterschub.billey import (
     LocalizationValue,
     billey_eval_bruteforce,
@@ -10,6 +11,7 @@ from peterschub.billey import (
     inversion_heights,
 )
 from peterschub.errors import Rejected
+from peterschub.peterson import coxeter_word
 from peterschub.rootsys import build_root_system
 from peterschub.weyl import element_words, longest_element_word, reduced_words
 
@@ -64,15 +66,6 @@ def test_dp_matches_backtrack_exhaustive_b2():
             assert billey_eval_dp(rs, v, w) == billey_eval_bruteforce(rs, v, w)
 
 
-def test_dp_matches_subset_scan_a3():
-    rs = build_root_system("A3")
-    w0 = longest_element_word(rs, (1, 2, 3))
-    for v in element_words(rs, max_length=3):
-        dp = billey_eval_dp(rs, v, w0)
-        scan = billey_eval_bruteforce(rs, v, w0, full_subset_scan=True)
-        assert dp == scan
-
-
 def test_dp_matches_backtrack_g2():
     rs = build_root_system("G2")
     words = element_words(rs)
@@ -101,12 +94,48 @@ def test_earliest_sound_window():
     assert earliest_sound_window(a3, (3,), w0) == 4
 
 
+def test_earliest_sound_window_matches_the_pattern_reference():
+    # The reference reads the final letter of every reduced word of v.
+    for label in ("A3", "B3", "C3", "G2"):
+        rs = build_root_system(label)
+        words = element_words(rs)
+        for v in words:
+            finals = {u[-1] for u in reduced_words(rs, v) if u}
+            for w in words:
+                expected = max(
+                    [len(v)] + [p for p, letter in enumerate(w, 1) if letter in finals]
+                )
+                assert earliest_sound_window(rs, v, w) == expected, (label, v, w)
+
+
+def test_earliest_sound_window_of_many_commuting_letters():
+    # v_K for K = {1, 3, ..., 19} in A20 has 10! reduced words, past the
+    # enumeration cap; its right descents are all of K, since they commute.
+    rs = build_root_system("A20")
+    K = range(1, 20, 2)
+    w0 = longest_element_word(rs, range(1, 21))
+    expected = max(p for p, letter in enumerate(w0, 1) if letter in K)
+    assert earliest_sound_window(rs, coxeter_word(K), w0) == expected
+
+
 def test_window_validation():
     # Sound and too-narrow windows are in the billey_window_soundness check.
     rs = build_root_system("A3")
     w0 = (1, 2, 1, 3, 2, 1)
     with pytest.raises(Rejected, match="exceeds word length"):
         billey_eval_bruteforce(rs, (1, 2), w0, window=7)
+
+
+def test_subset_scan_cap_holds_for_library_calls(monkeypatch):
+    # E7's Coxeter class at w0 would need C(63, 7), about 5.5e8 subsets.
+    def scan(*args):
+        raise AssertionError("the subset scan started")
+
+    monkeypatch.setattr(billey, "_subset_scan", scan)
+    rs = build_root_system("E7")
+    w0 = longest_element_word(rs, range(1, 8))
+    with pytest.raises(Rejected, match="about 553270671 index subsets"):
+        billey_eval_bruteforce(rs, coxeter_word(range(1, 8)), w0, full_subset_scan=True)
 
 
 def test_window_narrowing_is_exact_when_sound():

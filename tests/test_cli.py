@@ -9,6 +9,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import peterschub.billey as billey
 import peterschub.peterson as peterson
 from peterschub import checks, cli
 from peterschub.billey import LocalizationValue
@@ -160,7 +161,7 @@ def test_giambelli_window_requires_oracle(capsys):
 
 
 def test_giambelli_subset_scan_cap(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_SUBSET_SCAN_CAP", 2)
+    monkeypatch.setattr(billey, "_SUBSET_SCAN_CAP", 2)
     # A2's word has 3 letters and v two: C(3, 2) = 3 subsets.
     code, out, err = run(
         capsys, "giambelli", "--type", "A2", "--oracle", "subsets"
@@ -168,7 +169,7 @@ def test_giambelli_subset_scan_cap(capsys, monkeypatch):
     assert code == 2 and out == ""
     assert err.startswith("rejected: subset scan would test about 3 index subsets")
     assert "the cap of 2" in err
-    monkeypatch.setattr(cli, "_SUBSET_SCAN_CAP", 3)
+    monkeypatch.setattr(billey, "_SUBSET_SCAN_CAP", 3)
     code, out, _ = run(capsys, "giambelli", "--type", "A2", "--oracle", "subsets")
     assert code == 0 and "agreement: yes" in out
 

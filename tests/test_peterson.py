@@ -144,13 +144,6 @@ def test_evaluation_table():
     assert class_eval(a2, (), {2}) == LocalizationValue(1, 0)
 
 
-def test_structure_constants_hand_a1():
-    rs = build_root_system("A1")
-    assert monk_structure_constants(rs, 1, {1}) == {
-        frozenset({1}): (Fraction(1), 1)
-    }
-
-
 def test_structure_constants_hand_a2():
     # p_s1 * p_s1 and p_s1 * p_s2 are in the structure_constants_hand check.
     rs = build_root_system("A2")
@@ -178,24 +171,6 @@ def test_structure_constants_support_shape():
                 assert len(kp) in (len(K), len(K) + 1)
                 assert e == 1 + len(K) - len(kp)
                 assert c > 0
-
-
-def test_structure_constants_residuals_zero():
-    from itertools import combinations
-
-    for name in ("A2", "B2", "A3", "G2"):
-        rs = build_root_system(name)
-        indices = range(1, rs.rank + 1)
-        subsets = [
-            frozenset(c)
-            for size in range(rs.rank + 1)
-            for c in combinations(indices, size)
-        ]
-        for i in indices:
-            for K in subsets:
-                constants = monk_structure_constants(rs, i, K)
-                residuals = expansion_residuals(rs, i, K, constants)
-                assert all(r == 0 for r in residuals.values())
 
 
 def test_expansion_residuals_detect_wrong_constants():
