@@ -13,7 +13,6 @@ from .billey import (
     billey_eval_bruteforce,
     billey_eval_dp,
     earliest_sound_window,
-    inversion_heights,
 )
 from .errors import InvariantViolation, Rejected
 from .peterson import (
@@ -78,7 +77,6 @@ __all__ = [
     "giambelli_ratio",
     "height",
     "highest_root",
-    "inversion_heights",
     "inversion_root",
     "inversion_roots",
     "is_negative_root",

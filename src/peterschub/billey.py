@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .errors import Rejected
 from .rootsys import RootSystem
-from .weyl import Word, element_vector, is_reduced, letter_heights, reduced_words
+from .weyl import Vector, Word, _reduced_walk, reduced_words
 
 # Most index subsets the full subset scan may test, C(window, l(v)).
 # The scan tests under a million subsets a second, so the cap allows a few
@@ -46,34 +46,23 @@ class LocalizationValue:
         return f"{self.coeff}*{t}"
 
 
-def inversion_heights(rs: RootSystem, word: Sequence[int]) -> list[int]:
-    """Heights of the inversion roots of a reduced word, in position order.
-
-    >>> from peterschub.rootsys import build_root_system
-    >>> inversion_heights(build_root_system("A2"), (1, 2, 1))
-    [1, 2, 1]
-    """
-    heights = letter_heights(rs, word)
-    for pos, h in enumerate(heights, start=1):
-        if h < 0:
-            raise Rejected(
-                f"inversion root at position {pos} is negative: "
-                f"word {tuple(word)} is not reduced"
-            )
-    return heights
-
-
 def _check_pair(
     rs: RootSystem, v: Sequence[int], w: Sequence[int]
-) -> tuple[Word, Word, list[int]]:
-    """Both words as tuples, plus the inversion heights of ``w``."""
-    v, w = tuple(v), tuple(w)
-    if not is_reduced(rs, v):
-        raise Rejected(f"class word {v} is not reduced")
-    weights = letter_heights(rs, w)
-    if any(h < 0 for h in weights):
-        raise Rejected(f"fixed-point word {w} is not reduced")
-    return v, w, weights
+) -> tuple[Word, Word, list[int], Vector]:
+    """Both words as tuples, the inversion heights of ``w`` and v's height vector."""
+    v, _, v_mu = _reduced_walk(rs, v, "class word")
+    w, weights, _ = _reduced_walk(rs, w, "fixed-point word")
+    return v, w, weights, v_mu
+
+
+def _sound_window(v: Word, w: Word, v_mu: Vector) -> int:
+    """``earliest_sound_window`` from v's height vector ``v_mu``."""
+    descents = {j for j, h in enumerate(v_mu, start=1) if h < 0}
+    window = len(v)
+    for pos, letter in enumerate(w, start=1):
+        if letter in descents:
+            window = max(window, pos)
+    return window
 
 
 @lru_cache(maxsize=None)
@@ -109,7 +98,7 @@ def billey_eval_dp(rs: RootSystem, v: Sequence[int], w: Sequence[int]) -> Locali
     >>> billey_eval_dp(rs, (1, 2), (1, 2, 1))
     LocalizationValue(coeff=2, degree=2)
     """
-    v, w, weights = _check_pair(rs, v, w)
+    v, w, weights, _ = _check_pair(rs, v, w)
     total = 0
     for pattern in _patterns(rs, v):
         total += _pattern_dp(pattern, w, weights)
@@ -124,13 +113,8 @@ def earliest_sound_window(rs: RootSystem, v: Sequence[int], w: Sequence[int]) ->
     restricting to the prefix containing the last occurrence of every
     right descent (and at least l(v) positions) is safe.
     """
-    v, w, _ = _check_pair(rs, v, w)
-    descents = {j for j, h in enumerate(element_vector(rs, v), start=1) if h < 0}
-    window = len(v)
-    for pos, letter in enumerate(w, start=1):
-        if letter in descents:
-            window = max(window, pos)
-    return window
+    v, w, _, v_mu = _check_pair(rs, v, w)
+    return _sound_window(v, w, v_mu)
 
 
 def billey_eval_bruteforce(
@@ -154,7 +138,7 @@ def billey_eval_bruteforce(
     the last occurrence in ``w`` of any pattern's final letter.  Unsound
     windows are rejected with the earliest sound window in the diagnostic.
     """
-    v, w, weights = _check_pair(rs, v, w)
+    v, w, weights, v_mu = _check_pair(rs, v, w)
     limit = len(w) if window is None else window
     if full_subset_scan:
         # An unsound (e.g. negative) window is rejected below.
@@ -168,7 +152,7 @@ def billey_eval_bruteforce(
     if window is not None:
         if window > len(w):
             raise Rejected(f"window {window} exceeds word length {len(w)}")
-        sound = earliest_sound_window(rs, v, w)
+        sound = _sound_window(v, w, v_mu)
         if window < sound:
             raise Rejected(
                 f"window {window} may lose subwords of v; "

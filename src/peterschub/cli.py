@@ -32,7 +32,6 @@ from .peterson import (
     monk_coefficients,
     monk_eval,
     monk_structure_constants,
-    report_payload,
 )
 from .rootsys import LieTypeLabel, build_root_system, height, root_poset_covers
 from .weyl import Word, longest_element_word
@@ -273,9 +272,7 @@ def _cmd_monk(ns: argparse.Namespace) -> tuple[dict, list[str], int]:
 def _cmd_giambelli(ns: argparse.Namespace) -> tuple[dict, list[str], int]:
     rs = build_root_system(ns.type)
     subset = ns.subset if ns.subset is not None else tuple(range(1, rs.rank + 1))
-    if ns.window is not None and ns.oracle is None:
-        raise Rejected("--window only applies to an --oracle run")
-    # The seed word is validated once, for the dp and the oracle alike.
+    # The seed word is checked against w_J once, for the dp and the oracle alike.
     word = _fixed_point(rs, frozenset(subset), ns.seed_word)[0]
     v = coxeter_word(subset)
     val = billey_eval_dp(rs, v, word)
@@ -337,28 +334,29 @@ def _cmd_constants(ns: argparse.Namespace) -> tuple[dict, list[str], int]:
 
 def _cmd_report(ns: argparse.Namespace) -> tuple[dict, list[str], int]:
     rs = build_root_system(ns.type)
-    record = build_report(rs, ns.seed_word)
-    monk_text = " ".join(f"{i}:{c}" for i, c in record.monk.items())
-    if record.oracle is None:
+    payload = build_report(rs, ns.seed_word)
+    monk, oracle = payload["monk"], payload["oracle"]
+    monk_text = " ".join(f"{i}:{c}" for i, c in monk.items())
+    if oracle is None:
         oracle_text = "skipped (longest word exceeds the oracle length cap)"
     else:
         oracle_text = (
-            f"{record.oracle['method']} coeff {record.oracle['coeff']}, "
-            + ("agrees" if record.oracle["agrees"] else "DISAGREES")
+            f"{oracle['method']} coeff {oracle['coeff']}, "
+            + ("agrees" if oracle["agrees"] else "DISAGREES")
         )
     lines = [
-        f"type:               {record.type_label}",
-        f"longest word:       {' '.join(map(str, record.longest_word))}",
-        f"inversion heights:  {' '.join(map(str, record.inversion_heights))}",
-        f"monk coeffs:        {monk_text}  (total {sum(record.monk.values())})",
-        f"giambelli coeff:    {record.giambelli}",
-        f"ratio:              {_fraction_text(record.ratio)}",
-        f"reduced words of v: {record.reduced_word_count_vk}",
+        f"type:               {payload['type_label']}",
+        f"longest word:       {' '.join(map(str, payload['longest_word']))}",
+        f"inversion heights:  {' '.join(map(str, payload['inversion_heights']))}",
+        f"monk coeffs:        {monk_text}  (total {sum(monk.values())})",
+        f"giambelli coeff:    {payload['giambelli']}",
+        f"ratio:              {_fraction_text(Fraction(**payload['ratio']))}",
+        f"reduced words of v: {payload['reduced_word_count_vk']}",
         f"oracle:             {oracle_text}",
         "timings ms:         "
-        + " ".join(f"{k}={v}" for k, v in record.timings.items()),
+        + " ".join(f"{k}={v}" for k, v in payload["timings"].items()),
     ]
-    return report_payload(record), lines, EXIT_OK
+    return payload, lines, EXIT_OK
 
 
 def _cmd_verify(ns: argparse.Namespace) -> tuple[dict, list[str], int]:
@@ -407,6 +405,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             f"--seed-word does not apply to {ns.command}; "
             f"it applies to {', '.join(_SEED_WORD_COMMANDS)}"
         )
+    if ns.command == "giambelli" and ns.window is not None and ns.oracle is None:
+        parser.error("--window only applies to an --oracle run")
     try:
         payload, lines, code = _COMMANDS[ns.command](ns)
     except Rejected as exc:

@@ -39,14 +39,14 @@ points before evaluating any.
 
 ``build_report`` runs the whole pipeline for one type (longest word,
 inversion heights, Monk and Giambelli evaluations, the backtracking
-oracle where it is cheap) and checks the totals it can check.
+oracle where it is cheap), checks the totals it can check and returns
+the ``report`` subcommand's payload, the dict that the CLI prints.
 """
 
 from __future__ import annotations
 
 import time
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations
@@ -60,8 +60,8 @@ from .weyl import (
     Word,
     _longest_walk,
     _normalize_subset,
+    _reduced_walk,
     element_vector,
-    letter_heights,
     reduced_words,
 )
 
@@ -150,16 +150,13 @@ def _fixed_point(
     canonical = _longest(rs, J)
     if word is None:
         return canonical
-    word = tuple(word)
-    heights = tuple(letter_heights(rs, word))
-    if not all(h > 0 for h in heights):
-        raise Rejected(f"alternative word {word} is not reduced")
-    if element_vector(rs, word) != element_vector(rs, canonical[0]):
+    word, heights, mu = _reduced_walk(rs, word, "alternative word")
+    if mu != element_vector(rs, canonical[0]):
         raise Rejected(
             f"alternative word {word} is not a reduced word "
             f"for the longest element of {sorted(J)}"
         )
-    return word, heights
+    return word, tuple(heights)
 
 
 def monk_coefficients(word: Word, heights: Sequence[int], rank: int) -> dict[int, int]:
@@ -440,26 +437,13 @@ def expansion_residuals(
     return out
 
 
-@dataclass(frozen=True)
-class ReportRecord:
-    """One type's full pipeline: words, heights, evaluations, timings."""
-
-    type_label: str
-    longest_word: Word
-    inversion_heights: tuple[int, ...]
-    monk: dict[int, int]
-    giambelli: int
-    ratio: Fraction
-    reduced_word_count_vk: int
-    oracle: dict[str, Any] | None
-    timings: dict[str, int]
-
-
 _ORACLE_LENGTH_CAP = 63
 
 
-def build_report(rs: RootSystem, seed_word: Word | None = None) -> ReportRecord:
+def build_report(rs: RootSystem, seed_word: Word | None = None) -> dict[str, Any]:
     """Run the full evaluation pipeline for one type, timing each stage.
+
+    Returns the JSON-ready payload of the ``report`` subcommand.
 
     The backtracking-oracle comparison is included only when the longest
     word has at most 63 letters: beyond that the enumeration stops being
@@ -475,10 +459,9 @@ def build_report(rs: RootSystem, seed_word: Word | None = None) -> ReportRecord:
         return now
 
     t = t_start
-    # One walk validates the seed word and gives its heights; that stage is empty.
+    # One walk validates the seed word and gives its heights.
     word, heights = _fixed_point(rs, full_subset(rs), seed_word)
     t = stage("longest", t)
-    t = stage("heights", t)
     monk = monk_coefficients(word, heights, rs.rank)
     t = stage("monk", t)
     vk = coxeter_word(range(1, rs.rank + 1))
@@ -510,32 +493,17 @@ def build_report(rs: RootSystem, seed_word: Word | None = None) -> ReportRecord:
 
     ratio = Fraction(prod(monk.values()), giambelli.coeff)
     timings["total"] = int((time.perf_counter() - t_start) * 1000)
-    return ReportRecord(
-        type_label=str(rs.label),
-        longest_word=word,
-        inversion_heights=heights,
-        monk=monk,
-        giambelli=giambelli.coeff,
-        ratio=ratio,
-        reduced_word_count_vk=count_vk,
-        oracle=oracle,
-        timings=timings,
-    )
-
-
-def report_payload(record: ReportRecord) -> dict[str, Any]:
-    """The JSON-ready form of a report (the ``report`` subcommand's payload)."""
     return {
-        "type_label": record.type_label,
-        "longest_word": list(record.longest_word),
-        "inversion_heights": list(record.inversion_heights),
-        "monk": {str(i): c for i, c in record.monk.items()},
-        "giambelli": record.giambelli,
+        "type_label": str(rs.label),
+        "longest_word": list(word),
+        "inversion_heights": list(heights),
+        "monk": {str(i): c for i, c in monk.items()},
+        "giambelli": giambelli.coeff,
         "ratio": {
-            "numerator": record.ratio.numerator,
-            "denominator": record.ratio.denominator,
+            "numerator": ratio.numerator,
+            "denominator": ratio.denominator,
         },
-        "reduced_word_count_vk": record.reduced_word_count_vk,
-        "oracle": record.oracle,
-        "timings": record.timings,
+        "reduced_word_count_vk": count_vk,
+        "oracle": oracle,
+        "timings": timings,
     }

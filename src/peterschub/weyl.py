@@ -23,6 +23,11 @@ That vector answers everything the evaluation path asks of a prefix u
   * two words spell the same element iff their vectors are equal, because
     rho-coroot is regular.
 
+``element_vector``, ``letter_heights`` and ``is_reduced`` read one walk,
+``_walk``.  ``_reduced_walk``, the one validator, rejects a word that is
+not reduced and otherwise hands that walk back, so a caller checks a word
+and gets its inversion heights and its vector in one pass.
+
 The APIs that hand back roots, ``element_matrix`` (the images of the
 simple roots), ``inversion_root`` and ``inversion_roots``, are built on
 ``act``, which applies the reflections of a word to a root one by one.
@@ -62,6 +67,32 @@ def _step(rs: RootSystem, mu: Vector, j: int) -> Vector:
     return tuple([m - c * h for m, c in zip(mu, rs.cartan[j - 1])])
 
 
+def _walk(rs: RootSystem, word: Sequence[int]) -> tuple[Word, list[int], Vector]:
+    """The word as a tuple, ``mu_j`` before each letter j, and the final vector."""
+    word = _check_word(rs, word)
+    mu = (1,) * rs.rank
+    heights: list[int] = []
+    for j in word:
+        heights.append(mu[j - 1])
+        mu = _step(rs, mu, j)
+    return word, heights, mu
+
+
+def _reduced_walk(
+    rs: RootSystem, word: Sequence[int], what: str
+) -> tuple[Word, list[int], Vector]:
+    """``_walk`` of a reduced word, rejected as ``what`` if it is not.
+
+    >>> from peterschub.rootsys import build_root_system
+    >>> _reduced_walk(build_root_system("A2"), [1, 2, 1], "word")
+    ((1, 2, 1), [1, 2, 1], (-1, -1))
+    """
+    word, heights, mu = _walk(rs, word)
+    if not all(h > 0 for h in heights):
+        raise Rejected(f"{what} {word} is not reduced")
+    return word, heights, mu
+
+
 def element_vector(rs: RootSystem, word: Sequence[int]) -> Vector:
     """The height vector of the element spelled by ``word``.
 
@@ -72,10 +103,7 @@ def element_vector(rs: RootSystem, word: Sequence[int]) -> Vector:
     >>> element_vector(rs, (1, 2, 1)), element_vector(rs, (2, 1, 2))
     ((-1, -1), (-1, -1))
     """
-    mu = (1,) * rs.rank
-    for j in _check_word(rs, word):
-        mu = _step(rs, mu, j)
-    return mu
+    return _walk(rs, word)[2]
 
 
 def letter_heights(rs: RootSystem, word: Sequence[int]) -> list[int]:
@@ -89,12 +117,7 @@ def letter_heights(rs: RootSystem, word: Sequence[int]) -> list[int]:
     >>> letter_heights(build_root_system("A2"), (1, 2, 1, 2))
     [1, 2, 1, -1]
     """
-    mu = (1,) * rs.rank
-    out: list[int] = []
-    for j in _check_word(rs, word):
-        out.append(mu[j - 1])
-        mu = _step(rs, mu, j)
-    return out
+    return _walk(rs, word)[1]
 
 
 def element_matrix(rs: RootSystem, word: Sequence[int]) -> Matrix:
@@ -164,7 +187,7 @@ def is_reduced(rs: RootSystem, word: Sequence[int]) -> bool:
     >>> is_reduced(rs, (1, 1)), is_reduced(rs, (1, 2, 1)), is_reduced(rs, (1, 2, 1, 2))
     (False, True, False)
     """
-    return all(h > 0 for h in letter_heights(rs, word))
+    return all(h > 0 for h in _walk(rs, word)[1])
 
 
 def _normalize_subset(rs: RootSystem, subset: Iterable[int]) -> frozenset[int]:
@@ -269,10 +292,7 @@ def reduced_words(rs: RootSystem, word: Sequence[int]) -> list[Word]:
     >>> reduced_words(rs, (1, 2, 1))
     [(1, 2, 1), (2, 1, 2)]
     """
-    word = _check_word(rs, word)
-    if not is_reduced(rs, word):
-        raise Rejected(f"word {word} is not reduced")
-    target = element_vector(rs, word)
+    target = _reduced_walk(rs, word, "word")[2]
     below = _descent_graph(rs, target, REDUCED_WORD_LIMIT)
 
     out: list[Word] = []

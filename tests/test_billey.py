@@ -8,7 +8,6 @@ from peterschub.billey import (
     billey_eval_bruteforce,
     billey_eval_dp,
     earliest_sound_window,
-    inversion_heights,
 )
 from peterschub.errors import Rejected
 from peterschub.peterson import coxeter_word
@@ -20,15 +19,6 @@ def test_value_str():
     assert str(LocalizationValue(3, 0)) == "3"
     assert str(LocalizationValue(2, 1)) == "2*t"
     assert str(LocalizationValue(12, 6)) == "12*t^6"
-
-
-def test_inversion_heights_values():
-    a2 = build_root_system("A2")
-    assert inversion_heights(a2, (1, 2, 1)) == [1, 2, 1]
-    a3 = build_root_system("A3")
-    assert inversion_heights(a3, (1, 2, 1, 3, 2, 1)) == [1, 2, 1, 3, 2, 1]
-    b2 = build_root_system("B2")
-    assert inversion_heights(b2, (1, 2, 1, 2)) == [1, 2, 3, 1]
 
 
 def test_hand_values_a2():
@@ -50,37 +40,12 @@ def test_zero_value_keeps_degree():
 
 def test_rejects_non_reduced_inputs():
     rs = build_root_system("A2")
-    with pytest.raises(Rejected):
+    with pytest.raises(Rejected, match=r"^class word \(1, 1\) is not reduced$"):
         billey_eval_dp(rs, (1, 1), (1, 2, 1))
-    with pytest.raises(Rejected):
+    with pytest.raises(Rejected, match=r"^fixed-point word \(2, 2\) is not reduced$"):
         billey_eval_dp(rs, (1,), (2, 2))
     with pytest.raises(Rejected):
         billey_eval_bruteforce(rs, (1, 1), (1, 2, 1))
-
-
-def test_dp_matches_backtrack_exhaustive_b2():
-    rs = build_root_system("B2")
-    words = element_words(rs)
-    for w in words:
-        for v in words:
-            assert billey_eval_dp(rs, v, w) == billey_eval_bruteforce(rs, v, w)
-
-
-def test_dp_matches_backtrack_g2():
-    rs = build_root_system("G2")
-    words = element_words(rs)
-    for w in words:
-        for v in words:
-            assert billey_eval_dp(rs, v, w) == billey_eval_bruteforce(rs, v, w)
-
-
-def test_word_independence_across_reduced_words():
-    rs = build_root_system("A3")
-    w0 = (1, 2, 1, 3, 2, 1)
-    values = {
-        u: billey_eval_dp(rs, (2, 1), u) for u in reduced_words(rs, w0)
-    }
-    assert len(set(values.values())) == 1
 
 
 def test_earliest_sound_window():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import peterschub.billey as billey
-import peterschub.peterson as peterson
+import peterschub.weyl as weyl
 from peterschub import checks, cli
 from peterschub.billey import LocalizationValue
 from peterschub.rootsys import build_root_system
@@ -156,8 +156,10 @@ def test_giambelli_unsound_window_is_rejected(capsys):
 
 
 def test_giambelli_window_requires_oracle(capsys):
-    code, _, err = run(capsys, "giambelli", "--type", "A2", "--window", "2")
-    assert code == 2 and "rejected:" in err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["giambelli", "--type", "A2", "--window", "2"])
+    assert exc.value.code == 1
+    assert "--window only applies to an --oracle run" in capsys.readouterr().err
 
 
 def test_giambelli_subset_scan_cap(capsys, monkeypatch):
@@ -352,22 +354,42 @@ def test_seed_word_on_a_command_that_ignores_it_is_usage_error(capsys, argv, bef
     assert "lists, monk, giambelli, report" in err
 
 
-def test_giambelli_validates_the_seed_word_once(capsys, monkeypatch):
+def count_walks(monkeypatch):
+    """Record the word of every call of the one walk loop in ``weyl``."""
     calls = []
-    original = peterson.element_vector
+    original = weyl._walk
 
     def counting(rs, word):
         calls.append(tuple(word))
         return original(rs, word)
 
-    monkeypatch.setattr(peterson, "element_vector", counting)
+    monkeypatch.setattr(weyl, "_walk", counting)
+    return calls
+
+
+def test_giambelli_validates_the_seed_word_once(capsys, monkeypatch):
+    calls = count_walks(monkeypatch)
     code, out, _ = run(
         capsys, "giambelli", "--type", "A3", "--seed-word", "1,2,3,1,2,1",
         "--oracle", "backtrack",
     )
     assert code == 0 and "agreement: yes" in out
-    # One comparison of the seed word with the canonical word.
-    assert calls == [(1, 2, 3, 1, 2, 1), (1, 2, 1, 3, 2, 1)]
+    # One walk compares the seed word with w_J; the dp and the oracle each
+    # walk it once more to read its heights.
+    assert calls.count((1, 2, 3, 1, 2, 1)) == 3
+    assert calls.count((1, 2, 1, 3, 2, 1)) == 1
+
+
+def test_giambelli_with_a_window_walks_each_word_few_times(capsys, monkeypatch):
+    calls = count_walks(monkeypatch)
+    code, out, _ = run(
+        capsys, "giambelli", "--type", "A2", "--seed-word", "2,1,2",
+        "--oracle", "backtrack", "--window", "3",
+    )
+    assert code == 0 and "agreement: yes" in out
+    # The window check reads v's descents from the walk that checked v.
+    assert len(calls) <= 7
+    assert calls.count((2, 1, 2)) <= 3
 
 
 def test_negative_window_for_the_subset_scan_is_rejected(capsys):

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from peterschub import peterson
-from peterschub.billey import billey_eval_bruteforce, billey_eval_dp, inversion_heights
+from peterschub.billey import billey_eval_bruteforce, billey_eval_dp
 from peterschub.peterson import (
     _subsets_ordered,
     class_eval,
@@ -31,7 +31,7 @@ from peterschub.peterson import (
     monk_structure_constants,
 )
 from peterschub.rootsys import build_root_system
-from peterschub.weyl import _longest_walk as longest_walk, longest_element_word
+from peterschub.weyl import _longest_walk as longest_walk, letter_heights, longest_element_word
 
 RANK_LE_4 = ("A1", "A2", "A3", "A4", "B2", "B3", "B4",
              "C2", "C3", "C4", "D3", "D4", "F4", "G2")
@@ -160,7 +160,7 @@ def test_factored_values_match_the_whole_word_of_w_j(case):
     rs, K, J = case
     word = longest_element_word(rs, J)
     assert class_eval(rs, K, J) == billey_eval_dp(rs, coxeter_word(K), word)
-    whole = monk_coefficients(word, inversion_heights(rs, word), rs.rank)
+    whole = monk_coefficients(word, letter_heights(rs, word), rs.rank)
     for i in range(1, rs.rank + 1):
         assert monk_eval(rs, i, J).coeff == whole[i], i
 

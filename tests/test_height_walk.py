@@ -12,11 +12,11 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from peterschub.billey import inversion_heights
 from peterschub.errors import Rejected
 from peterschub.rootsys import build_root_system, height, is_negative_root, is_positive_root
 from peterschub.weyl import (
     _longest_walk,
+    _reduced_walk,
     braid_variant,
     element_matrix,
     element_vector,
@@ -126,11 +126,11 @@ def test_vector_walk_matches_matrix_walk(case):
         reduced = all(is_positive_root(r) for r in roots)
         assert is_reduced(rs, word) == reduced
         if reduced:
-            assert inversion_heights(rs, word) == [height(r) for r in roots]
+            assert _reduced_walk(rs, word, "word")[1] == [height(r) for r in roots]
             assert inversion_roots(rs, word) == roots
         else:
             with pytest.raises(Rejected):
-                inversion_heights(rs, word)
+                _reduced_walk(rs, word, "word")
     if not is_reduced(rs, w1):
         return
     # A braid variant spells the same element, so both sides of the

@@ -13,6 +13,7 @@ from peterschub.weyl import (
     inversion_root,
     inversion_roots,
     is_reduced,
+    letter_heights,
     longest_element_word,
     reduced_words,
 )
@@ -79,6 +80,28 @@ def test_is_reduced():
     b2 = build_root_system("B2")
     assert is_reduced(b2, (1, 2, 1, 2))
     assert not is_reduced(b2, (1, 2, 1, 2, 1))
+
+
+def test_letter_heights_values():
+    # The validator hands back the same heights for a reduced word.
+    a2 = build_root_system("A2")
+    a3 = build_root_system("A3")
+    b2 = build_root_system("B2")
+    for rs, word, heights in (
+        (a2, (1, 2, 1), [1, 2, 1]),
+        (a3, (1, 2, 1, 3, 2, 1), [1, 2, 1, 3, 2, 1]),
+        (b2, (1, 2, 1, 2), [1, 2, 3, 1]),
+    ):
+        assert letter_heights(rs, word) == heights
+        assert weyl._reduced_walk(rs, word, "word")[1] == heights
+
+
+def test_reduced_walk_names_the_word_it_rejects():
+    rs = build_root_system("A2")
+    with pytest.raises(Rejected, match=r"^class word \(1, 1\) is not reduced$"):
+        weyl._reduced_walk(rs, [1, 1], "class word")
+    with pytest.raises(Rejected, match=r"^word \(1, 2, 1, 2\) is not reduced$"):
+        reduced_words(rs, (1, 2, 1, 2))
 
 
 def test_length_equals_inversion_count():
