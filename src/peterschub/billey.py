@@ -9,8 +9,9 @@ the evaluation of the class of v at the fixed point w becomes
 
 Values are held as an exact integer coefficient together with the t-degree
 l(v).  Two evaluators are provided: a weighted-subsequence dynamic program
-(fast; the default everywhere), and an explicit subword enumerator that
-mirrors the definition and serves as its independent oracle.
+(fast; the evaluator for a general v, while Coxeter classes go through
+``peterson``'s forest sum), and an explicit subword enumerator that
+mirrors the definition and serves as the independent oracle of both.
 """
 
 from __future__ import annotations

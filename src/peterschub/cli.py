@@ -22,9 +22,10 @@ import sys
 from fractions import Fraction
 from typing import Any, Callable, Sequence
 
-from .billey import LocalizationValue, billey_eval_bruteforce, billey_eval_dp
+from .billey import LocalizationValue, billey_eval_bruteforce
 from .errors import InvariantViolation, Rejected
 from .peterson import (
+    _coxeter_sum,
     _fixed_point,
     build_report,
     coxeter_word,
@@ -272,10 +273,11 @@ def _cmd_monk(ns: argparse.Namespace) -> tuple[dict, list[str], int]:
 def _cmd_giambelli(ns: argparse.Namespace) -> tuple[dict, list[str], int]:
     rs = build_root_system(ns.type)
     subset = ns.subset if ns.subset is not None else tuple(range(1, rs.rank + 1))
+    K = frozenset(subset)
     # The seed word is checked against w_J once, for the dp and the oracle alike.
-    word = _fixed_point(rs, frozenset(subset), ns.seed_word)[0]
+    word, heights = _fixed_point(rs, K, ns.seed_word)
     v = coxeter_word(subset)
-    val = billey_eval_dp(rs, v, word)
+    val = LocalizationValue(_coxeter_sum(rs, K, word, heights), len(v))
     payload: dict[str, Any] = {
         "type": str(rs.label),
         "subset": list(subset),

@@ -12,8 +12,12 @@ v_K uses each letter of K once, so its reduced words are the linear
 extensions of its heap: a comes before b for every Dynkin edge a-b of K
 with a < b.  Billey's subword sum for p_{v_K}(w_J) is therefore a
 dynamic program over the Dynkin forest induced on K, walked in the
-diagram's tree order on the cached word of w_J and its heights, in
+diagram's tree order on a reduced word of w_J and its heights, in
 O(|K| * l(w_J)) steps; the reduced words of v_K are never listed.
+``_coxeter_sum``, that program, is the one evaluator of a Coxeter class:
+the Monk solve and ``class_eval`` run it on the cached word of each
+connected w_P, ``giambelli_eval`` and ``build_report`` on the canonical
+or seed word of the fixed point, which is checked by its length.
 ``billey_eval_dp`` remains the evaluator for a general v and the
 reference the forest DP is tested against.
 
@@ -53,7 +57,7 @@ from itertools import accumulate, combinations
 from math import lcm, prod
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
-from .billey import LocalizationValue, billey_eval_bruteforce, billey_eval_dp
+from .billey import LocalizationValue, billey_eval_bruteforce
 from .errors import InvariantViolation, Rejected
 from .rootsys import RootSystem, height
 from .weyl import (
@@ -61,7 +65,6 @@ from .weyl import (
     _longest_walk,
     _normalize_subset,
     _reduced_walk,
-    element_vector,
     reduced_words,
 )
 
@@ -146,12 +149,16 @@ def _components(rs: RootSystem, J: Subset) -> list[Subset]:
 def _fixed_point(
     rs: RootSystem, J: Subset, word: Sequence[int] | None
 ) -> tuple[Word, tuple[int, ...]]:
-    """The canonical word of w_J, or ``word`` once validated, with its heights."""
+    """The canonical word of w_J, or ``word`` once validated, with its heights.
+
+    w_J is the one element of W_J of length l(w_J), so a reduced word in
+    J's letters spells it exactly when it is as long as the canonical word.
+    """
     canonical = _longest(rs, J)
     if word is None:
         return canonical
-    word, heights, mu = _reduced_walk(rs, word, "alternative word")
-    if mu != element_vector(rs, canonical[0]):
+    word, heights, _ = _reduced_walk(rs, word, "alternative word")
+    if len(word) != len(canonical[0]) or not J.issuperset(word):
         raise Rejected(
             f"alternative word {word} is not a reduced word "
             f"for the longest element of {sorted(J)}"
@@ -227,7 +234,7 @@ def giambelli_eval(
     """
     K = full_subset(rs) if K is None else _normalize_subset(rs, K)
     v = coxeter_word(K)
-    return billey_eval_dp(rs, v, _fixed_point(rs, K, word)[0])
+    return LocalizationValue(_coxeter_sum(rs, K, *_fixed_point(rs, K, word)), len(v))
 
 
 def giambelli_ratio(rs: RootSystem, K: Iterable[int] | None = None) -> Fraction:
@@ -248,12 +255,11 @@ def giambelli_ratio(rs: RootSystem, K: Iterable[int] | None = None) -> Fraction:
     return Fraction(num, giambelli_eval(rs, K).coeff)
 
 
-@lru_cache(maxsize=None)
-def _connected_class(rs: RootSystem, S: Subset, P: Subset) -> int:
-    """Coefficient of p_{v_S}(w_P) for nonempty S inside a connected P.
+def _coxeter_sum(rs: RootSystem, S: Subset, word: Word, heights: Sequence[int]) -> int:
+    """Coefficient of p_{v_S}(w) for nonempty S, on a reduced word of w.
 
     A term of the subword sum places each letter a of S at a position of
-    w_P's word carrying a, with a before b for every Dynkin edge a-b of S
+    the word carrying a, with a before b for every Dynkin edge a-b of S
     with a < b, and multiplies the heights there.  S is summed children
     first along ``_tree_order``: a position of a carries its height
     times, for each child c, the sum of c's values over the positions
@@ -261,7 +267,6 @@ def _connected_class(rs: RootSystem, S: Subset, P: Subset) -> int:
     S roots a component, one factor of the product; the diagram is a
     tree, so the sum does not depend on the roots.
     """
-    word, heights = _longest(rs, P)
     positions: dict[int, list[int]] = {a: [] for a in S}
     for p, letter in enumerate(word):
         if letter in positions:
@@ -286,6 +291,12 @@ def _connected_class(rs: RootSystem, S: Subset, P: Subset) -> int:
         else:
             coeff *= sum(vals)
     return coeff
+
+
+@lru_cache(maxsize=None)
+def _connected_class(rs: RootSystem, S: Subset, P: Subset) -> int:
+    """Coefficient of p_{v_S}(w_P) for nonempty S inside a connected P."""
+    return _coxeter_sum(rs, S, *_longest(rs, P))
 
 
 def _class_in(rs: RootSystem, K: Subset, comps: Sequence[Subset]) -> int:
@@ -465,7 +476,7 @@ def build_report(rs: RootSystem, seed_word: Word | None = None) -> dict[str, Any
     monk = monk_coefficients(word, heights, rs.rank)
     t = stage("monk", t)
     vk = coxeter_word(range(1, rs.rank + 1))
-    giambelli = billey_eval_dp(rs, vk, word)
+    giambelli = LocalizationValue(_coxeter_sum(rs, frozenset(vk), word, heights), len(vk))
     t = stage("giambelli", t)
     count_vk = len(reduced_words(rs, vk))
     t = stage("reduced_words", t)

@@ -23,10 +23,10 @@ That vector answers everything the evaluation path asks of a prefix u
   * two words spell the same element iff their vectors are equal, because
     rho-coroot is regular.
 
-``element_vector``, ``letter_heights`` and ``is_reduced`` read one walk,
-``_walk``.  ``_reduced_walk``, the one validator, rejects a word that is
-not reduced and otherwise hands that walk back, so a caller checks a word
-and gets its inversion heights and its vector in one pass.
+``_walk`` is the one loop along a word, behind ``is_reduced``.
+``_reduced_walk``, the one validator, rejects a word that is not reduced
+and otherwise hands that walk back, so a caller checks a word and gets
+its inversion heights and its vector in one pass.
 
 The APIs that hand back roots, ``element_matrix`` (the images of the
 simple roots), ``inversion_root`` and ``inversion_roots``, are built on
@@ -91,33 +91,6 @@ def _reduced_walk(
     if not all(h > 0 for h in heights):
         raise Rejected(f"{what} {word} is not reduced")
     return word, heights, mu
-
-
-def element_vector(rs: RootSystem, word: Sequence[int]) -> Vector:
-    """The height vector of the element spelled by ``word``.
-
-    Two words spell the same element exactly when their vectors agree.
-
-    >>> from peterschub.rootsys import build_root_system
-    >>> rs = build_root_system("A2")
-    >>> element_vector(rs, (1, 2, 1)), element_vector(rs, (2, 1, 2))
-    ((-1, -1), (-1, -1))
-    """
-    return _walk(rs, word)[2]
-
-
-def letter_heights(rs: RootSystem, word: Sequence[int]) -> list[int]:
-    """For each letter j, ``mu_j`` of the prefix before it, in position order.
-
-    An entry is positive exactly when its letter extends the prefix
-    length-increasingly, and then it is the height of that position's
-    inversion root.
-
-    >>> from peterschub.rootsys import build_root_system
-    >>> letter_heights(build_root_system("A2"), (1, 2, 1, 2))
-    [1, 2, 1, -1]
-    """
-    return _walk(rs, word)[1]
 
 
 def element_matrix(rs: RootSystem, word: Sequence[int]) -> Matrix:
@@ -216,7 +189,7 @@ def _longest_walk(rs: RootSystem, subset: Iterable[int]) -> tuple[Word, tuple[in
     """``longest_element_word`` with the ``mu_j`` recorded at each append.
 
     Each recorded entry is the height of that position's inversion root,
-    so the word's ``letter_heights`` come out of the same walk.
+    so the word's inversion heights come out of the same walk.
     """
     order = sorted(_normalize_subset(rs, subset))
     mu = (1,) * rs.rank

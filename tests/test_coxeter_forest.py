@@ -26,12 +26,18 @@ from peterschub.peterson import (
     class_eval,
     coxeter_word,
     full_subset,
+    giambelli_eval,
     monk_coefficients,
     monk_eval,
     monk_structure_constants,
 )
 from peterschub.rootsys import build_root_system
-from peterschub.weyl import _longest_walk as longest_walk, letter_heights, longest_element_word
+from peterschub.weyl import (
+    _longest_walk as longest_walk,
+    _walk,
+    longest_element_word,
+    reduced_words,
+)
 
 RANK_LE_4 = ("A1", "A2", "A3", "A4", "B2", "B3", "B4",
              "C2", "C3", "C4", "D3", "D4", "F4", "G2")
@@ -125,6 +131,19 @@ def test_commuting_letters_give_the_product_of_monk_values(label):
         assert class_eval(rs, K, J).coeff == product
 
 
+@pytest.mark.parametrize("label", ("A3", "B3", "C3", "G2", "D4"))
+def test_giambelli_on_every_seed_word_matches_the_pattern_dp(label):
+    # A seed word is summed on its own heights, so every reduced word of
+    # w_K is a separate differential case.
+    rs = build_root_system(label)
+    for K in _subsets_ordered(rs.rank):
+        if not K:
+            continue
+        v = coxeter_word(K)
+        for u in reduced_words(rs, longest_element_word(rs, K)):
+            assert giambelli_eval(rs, K, word=u) == billey_eval_dp(rs, v, u), (K, u)
+
+
 # --- the factorization over the components of J ------------------------------
 
 
@@ -160,7 +179,7 @@ def test_factored_values_match_the_whole_word_of_w_j(case):
     rs, K, J = case
     word = longest_element_word(rs, J)
     assert class_eval(rs, K, J) == billey_eval_dp(rs, coxeter_word(K), word)
-    whole = monk_coefficients(word, letter_heights(rs, word), rs.rank)
+    whole = monk_coefficients(word, _walk(rs, word)[1], rs.rank)
     for i in range(1, rs.rank + 1):
         assert monk_eval(rs, i, J).coeff == whole[i], i
 

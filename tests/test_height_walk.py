@@ -17,13 +17,12 @@ from peterschub.rootsys import build_root_system, height, is_negative_root, is_p
 from peterschub.weyl import (
     _longest_walk,
     _reduced_walk,
+    _walk,
     braid_variant,
     element_matrix,
-    element_vector,
     element_words,
     inversion_roots,
     is_reduced,
-    letter_heights,
     longest_element_word,
     reduced_words,
 )
@@ -137,7 +136,7 @@ def test_vector_walk_matches_matrix_walk(case):
     # equivalence get exercised, not only the unequal one.
     for other in (w2, braid_variant(rs, w1)):
         if other is not None and is_reduced(rs, other):
-            same_vector = element_vector(rs, w1) == element_vector(rs, other)
+            same_vector = _walk(rs, w1)[2] == _walk(rs, other)[2]
             assert same_vector == (element_matrix(rs, w1) == element_matrix(rs, other))
 
 
@@ -159,7 +158,7 @@ def test_longest_walk_records_the_letter_heights(label):
         for subset in combinations(range(1, rs.rank + 1), size):
             word, heights = _longest_walk(rs, subset)
             assert word == longest_element_word(rs, subset)
-            assert list(heights) == letter_heights(rs, word)
+            assert list(heights) == _walk(rs, word)[1]
 
 
 @pytest.mark.parametrize("label", ("A3", "B3", "G2"))

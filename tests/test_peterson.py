@@ -8,6 +8,8 @@ import pytest
 from peterschub.billey import LocalizationValue, billey_eval_bruteforce
 from peterschub.errors import Rejected
 from peterschub.peterson import (
+    _fixed_point,
+    _subsets_ordered,
     class_eval,
     coxeter_word,
     expansion_residuals,
@@ -18,7 +20,13 @@ from peterschub.peterson import (
     monk_structure_constants,
 )
 from peterschub.rootsys import build_root_system
-from peterschub.weyl import longest_element_word, reduced_words
+from peterschub.weyl import (
+    _reduced_walk,
+    element_matrix,
+    element_words,
+    longest_element_word,
+    reduced_words,
+)
 
 
 def test_coxeter_word():
@@ -89,12 +97,17 @@ def test_giambelli_degree_and_positivity():
         assert val.coeff > 0
 
 
-def test_giambelli_ratio_hand_values():
-    assert giambelli_ratio(build_root_system("A2")) == 2
-    assert giambelli_ratio(build_root_system("A3")) == 6
-    assert giambelli_ratio(build_root_system("A3"), {1, 3}) == 1
-    for i in (1, 2):
-        assert giambelli_ratio(build_root_system("B2"), {i}) == 1
+@pytest.mark.parametrize("K, word_count, ratio", (
+    # Ten commuting letters: every ordering is a reduced word of v_K.
+    (range(1, 20, 2), math.factorial(10), 1),
+    # Seven commuting pairs {3k+1, 3k+2}, each pair in one order.
+    ([j for j in range(1, 21) if j % 3], math.factorial(14) // 2**7, 2**7),
+), ids=("odd", "pairs"))
+def test_giambelli_ratio_of_a_class_past_the_word_cap(K, word_count, ratio):
+    # The Giambelli formula gives the ratio as |K|!/|R(v_K)|; both classes
+    # have more reduced words than the cap on listing them.
+    rs = build_root_system("A20")
+    assert giambelli_ratio(rs, K) == Fraction(math.factorial(len(K)), word_count) == ratio
 
 
 def test_giambelli_ratio_type_a_factorial():
@@ -124,6 +137,23 @@ def test_giambelli_ratio_frozen_values():
     frozen = {"B2": 2, "B3": 6, "C3": 6, "D4": 12, "F4": 24, "E6": 240}
     for name, expected in frozen.items():
         assert giambelli_ratio(build_root_system(name)) == expected
+
+
+@pytest.mark.parametrize("label", ("A3", "B3", "G2"))
+def test_fixed_point_accepts_exactly_the_words_of_w_j(label):
+    # A seed word is checked by its length; the reference compares the
+    # element matrices of the seed and the canonical word.
+    rs = build_root_system(label)
+    words = [u for w in element_words(rs) for u in reduced_words(rs, w)]
+    matrices = {u: element_matrix(rs, u) for u in words}
+    for J in _subsets_ordered(rs.rank):
+        target = element_matrix(rs, longest_element_word(rs, J))
+        for u in words:
+            if matrices[u] == target:
+                assert _fixed_point(rs, J, u) == (u, tuple(_reduced_walk(rs, u, "word")[1]))
+            else:
+                with pytest.raises(Rejected, match="is not a reduced word for"):
+                    _fixed_point(rs, J, u)
 
 
 def test_class_eval_triangularity():
