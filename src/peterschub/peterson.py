@@ -32,14 +32,18 @@ p_{v_{K & P}}(w_P), and p_{s_i}(w_J) = p_{s_i}(w_P) for the P holding i.
 Words, heights and class values are cached for connected P only; the
 2^rank fixed points are products of those few values.
 
-In a Monk expansion p_{s_i} * p_{v_K}, both sides vanish at every fixed
-point w_J with J not containing K, so only the constants of subsets
-J containing K are solved for; the rest are zero.  The back-substitution
-runs in integers: the nonzero constants are carried as numerators over
-one common denominator, and a ``Fraction`` is built only for each
-constant found and each nonzero residual.  Both the solve and the
-residual check refuse grids of more than ``MAX_FIXED_POINTS`` fixed
-points before evaluating any.
+A Monk expansion p_{s_i} * p_{v_K} is solved by Monk's rule for Peterson
+varieties (Drellich): its constants sit at K and at K + {j}, so they are
+read off the fixed points w_K and w_{K+j}, rank - |K| + 1 of them.  The
+rule is not trusted: ``_certify`` checks the answer at every fixed point
+through one condition per connected subset of the diagram that holds i
+or an added letter, exactly and in time polynomial in the rank.
+``expansion_residuals``, the independent exhaustive check, evaluates both
+sides at each fixed point whose J holds what every class of the
+expansion shares, building J's components as it chooses J node by node
+and evaluating their values itself, and returns only the nonzero
+residuals.  Only it has a cap: it refuses types with more than
+``MAX_FIXED_POINTS`` fixed points before evaluating any.
 
 ``build_report`` runs the whole pipeline for one type (longest word,
 inversion heights, Monk and Giambelli evaluations, the backtracking
@@ -72,12 +76,9 @@ Subset = frozenset[int]
 
 StructureConstants = dict[Subset, tuple[Fraction, int]]
 
-# Largest number of fixed points w_J that one Monk solve or residual check
-# walks: 2^(rank - |K|) for the solve, 2^rank for the residuals.  A21 with
-# a one-letter K is at the cap; each doubling beyond it doubles the run.
+# Largest number of fixed points w_J, 2^rank, of a type whose Monk residuals
+# ``expansion_residuals`` checks; A20 is at the cap.  The solve has no cap.
 MAX_FIXED_POINTS = 2**20
-
-_ZERO = Fraction(0)
 
 
 def coxeter_word(K: Iterable[int]) -> Word:
@@ -328,45 +329,42 @@ def class_eval(rs: RootSystem, K: Iterable[int], J: Iterable[int]) -> Localizati
     return _class_eval(rs, _normalize_subset(rs, K), _normalize_subset(rs, J))
 
 
-def _subsets_ordered(rank: int, K: Subset = frozenset()) -> Iterator[Subset]:
-    """All index subsets containing K, by cardinality then lexicographic.
+def _subsets_ordered(rank: int) -> Iterator[Subset]:
+    """All index subsets, by cardinality then lexicographic.
 
     The order is inclusion-compatible: every subset comes after those it
     contains.  The subsets are generated one at a time, so a walk over
     them holds only what it keeps.
     """
-    rest = [j for j in range(1, rank + 1) if j not in K]
-    for size in range(len(rest) + 1):
-        for combo in combinations(rest, size):
-            yield K | frozenset(combo)
-
-
-def _check_fixed_points(exponent: int) -> None:
-    """Refuse a grid of 2^exponent fixed points above ``MAX_FIXED_POINTS``."""
-    if 1 << exponent > MAX_FIXED_POINTS:
-        raise Rejected(
-            f"the grid has 2^{exponent} fixed points, above the cap of "
-            f"{MAX_FIXED_POINTS} (MAX_FIXED_POINTS)"
-        )
+    for size in range(rank + 1):
+        for combo in combinations(range(1, rank + 1), size):
+            yield frozenset(combo)
 
 
 def monk_structure_constants(
     rs: RootSystem, i: int, K: Iterable[int]
 ) -> StructureConstants:
-    """Expand p_{s_i} * p_{v_K} in Peterson classes via fixed-point evaluation.
+    """Expand p_{s_i} * p_{v_K} in Peterson classes by Monk's rule.
 
-    Solves for the constants c_{K'} in
+    Finds the constants c_{K'} in
 
         p_{s_i} * p_{v_K} = sum_{K'} c_{K'} * t^(1+|K|-|K'|) * p_{v_{K'}}
 
-    by equating evaluations at the fixed points w_J and back-substituting
-    along the inclusion-triangular grid.  Every rhs term has t-degree
-    1+|K| like the product, so the system acts on coefficients alone.
-    Only J containing K are solved for: at any other J the product
-    vanishes, and by induction so does every c_{K'} with K' inside J, so
-    c_J is zero too.  Only nonzero constants are returned, each paired
-    with its t-exponent.  Rejects K with more than ``MAX_FIXED_POINTS``
-    subsets J containing it.
+    by equating evaluations at fixed points w_J.  Every rhs term has
+    t-degree 1+|K| like the product, so the system acts on coefficients
+    alone, and it is triangular under inclusion.  Both sides vanish at
+    w_J unless J contains K, so at J = K the product gives c_K = m_i(w_K),
+    the coefficient of p_{s_i}(w_K).  By Monk's rule for Peterson
+    varieties (Drellich) the other constants sit at K + {j} for j not in
+    K, where c_K is the only other unknown below J = K + {j}:
+
+        c_J = (m_i(w_J) - c_K) * p_{v_K}(w_J) / p_{v_J}(w_J).
+
+    So rank - |K| + 1 fixed points give the answer.  The rule is not
+    trusted: ``_certify`` checks that the constants reproduce the
+    product at every fixed point and raises ``InvariantViolation``
+    otherwise.  Only nonzero constants are returned, each paired with
+    its t-exponent, K first and then by the added index.
 
     >>> from peterschub.rootsys import build_root_system
     >>> rs = build_root_system("A2")
@@ -377,31 +375,100 @@ def monk_structure_constants(
     """
     rs.check_index(i)
     K = _normalize_subset(rs, K)
-    _check_fixed_points(rs.rank - len(K))
-    # The constants found so far as numerators over the common denominator.
-    nums: dict[Subset, int] = {}
-    denom = 1
     out: StructureConstants = {}
-    for J in _subsets_ordered(rs.rank, K):
+    c_K = 0  # until J = K, where the formula below gives c_K = m_i(w_K)
+    for J in (K, *(K | {j} for j in range(1, rs.rank + 1) if j not in K)):
         comps = _components(rs, J)
-        acc = _monk_in(rs, i, comps) * _class_in(rs, K, comps) * denom
-        for kp, n in nums.items():
-            if kp < J:
-                acc -= n * _class_in(rs, kp, comps)
         diag = prod(_connected_class(rs, P, P) for P in comps)
         if diag <= 0:
             raise InvariantViolation(
                 f"diagonal evaluation at {sorted(J)} is {diag}; grid not triangular"
             )
-        if acc:
-            c = Fraction(acc, denom * diag)
-            if denom % c.denominator:
-                common = lcm(denom, c.denominator)
-                nums = {kp: n * (common // denom) for kp, n in nums.items()}
-                denom = common
-            nums[J] = c.numerator * (denom // c.denominator)
+        c = Fraction((_monk_in(rs, i, comps) - c_K) * _class_in(rs, K, comps), diag)
+        if J == K:
+            c_K = c
+        if c:
             out[J] = (c, 1 + len(K) - len(J))
+    _certify(rs, i, K, out)
     return out
+
+
+def _certify(
+    rs: RootSystem, i: int, K: Subset, constants: Mapping[Subset, tuple[Fraction, int]]
+) -> None:
+    """Raise ``InvariantViolation`` unless the constants expand p_{s_i} * p_{v_K}.
+
+    Exact at every fixed point, in time polynomial in the rank.  A nonzero
+    constant off K and the K + {j} fails at once: Monk's rule leaves none
+    there.  Otherwise take J containing K, with components P, and
+    x_P = p_{v_{K&P}}(w_P) > 0.  The residual at w_J is
+    prod_P x_P * (sum_P h(P) - c_K), where
+
+        h(P) = [i in P] m_i(w_P) - sum_{j in P-K} c_{K+j} p_{v_{(K&P)+j}}(w_P) / x_P.
+
+    Call a connected P admissible when no node next to P is in K.  The
+    components of every J containing K are admissible, and an admissible
+    P is a component of P | K.  So every residual vanishes exactly when
+    c_K is the sum of h over the components of K, which is m_i(w_K), and
+    d(P) = h(P) - [i in P] m_i(w_K), h(P) less the h of the components of
+    K inside P, is 0 for every admissible P.  d(P) is 0 unless P holds i
+    or a letter j with a nonzero c_{K+j}, so only those P are tried.
+    At J not containing K both sides vanish.
+    """
+    denom = lcm(*(c.denominator for c, _ in constants.values()))
+    n_K, letters = 0, {}
+    for kp, (c, _) in constants.items():
+        n = c.numerator * (denom // c.denominator)
+        if not n:
+            continue
+        if kp == K:
+            n_K = n
+        elif kp > K and len(kp) == len(K) + 1:
+            (j,) = kp - K
+            letters[j] = n
+        else:
+            raise InvariantViolation(f"constant at {sorted(kp)} is outside Monk's rule")
+    m_K = _monk_in(rs, i, _components(rs, K))
+    if n_K != m_K * denom:
+        raise InvariantViolation(
+            f"constant at {sorted(K)} is {Fraction(n_K, denom)}, expected {m_K}"
+        )
+    for P in _admissible(rs, K, sorted({i, *letters})):
+        S = K & P
+        x = _connected_class(rs, S, P) if S else 1
+        lhs = (_monk_at(rs, P)[i] - m_K) * x * denom if i in P else 0
+        rhs = sum(n * _connected_class(rs, S | {j}, P) for j, n in letters.items() if j in P)
+        if lhs != rhs:
+            raise InvariantViolation(
+                f"the expansion of p_s{i} * p_v{sorted(K)} fails at the "
+                f"component {sorted(P)}"
+            )
+
+
+def _admissible(rs: RootSystem, K: Subset, seeds: Sequence[int]) -> Iterator[Subset]:
+    """Each connected P holding a seed with no node of K next to it, once.
+
+    P is grown from its first seed in ``seeds``: a node next to the part
+    grown so far is taken unless it is an earlier seed, or left out
+    unless it is in K.  The diagram is a tree, so each node is reached
+    from one side only and no P is met twice.
+    """
+    nodes = range(1, rs.rank + 1)
+    adjacent = {a: [b for b in nodes if b != a and rs.cartan[a - 1][b - 1]] for a in nodes}
+    for k, seed in enumerate(seeds):
+        earlier = seeds[:k]
+        stack = [((seed,), tuple((b, seed) for b in adjacent[seed]))]
+        while stack:
+            taken, frontier = stack.pop()
+            if not frontier:
+                yield frozenset(taken)
+                continue
+            (b, a), rest = frontier[0], frontier[1:]
+            if b not in K:
+                stack.append((taken, rest))
+            if b not in earlier:
+                grown = tuple((c, b) for c in adjacent[b] if c != a)
+                stack.append(((*taken, b), rest + grown))
 
 
 def expansion_residuals(
@@ -410,41 +477,84 @@ def expansion_residuals(
     K: Iterable[int],
     constants: Mapping[Subset, tuple[Fraction, int]],
 ) -> dict[Subset, Fraction]:
-    """Residual of the Monk expansion at every fixed point; all zero when exact.
+    """The nonzero residuals of the Monk expansion; empty when it is exact.
 
-    Recomputes both sides of the expansion from scratch at each w_J and
-    returns lhs minus rhs coefficients.  Rejects a constants map whose
-    t-exponents do not balance the degrees, since its residual would not
-    be a comparison of like monomials, and types with more than
-    ``MAX_FIXED_POINTS`` fixed points.
+    Recomputes both sides of the expansion at each fixed point w_J and
+    keeps lhs minus rhs coefficients where they differ.  Rejects a
+    constants map with an index outside the type or whose t-exponents do
+    not balance the degrees, since its residual would not be a comparison
+    of like monomials, and types with more than ``MAX_FIXED_POINTS``
+    fixed points.
+
+    A class vanishes at w_J unless J contains its subset, so both sides
+    vanish unless J contains K or a constant's subset, and hence their
+    intersection ``base``; only those J are visited.  J is chosen node by
+    node along ``_tree_order`` in a depth-first walk, and a node taken
+    joins its parent's component or opens one, so J's components come
+    with it.  The values on each component are evaluated here, once per
+    call, from the cached word of w_P: the check reads none of the class
+    or Monk values that the solve and its certificate cached.
     """
     rs.check_index(i)
     K = _normalize_subset(rs, K)
     for kp, (_, exponent) in constants.items():
+        _normalize_subset(rs, kp)
         if exponent != 1 + len(K) - len(kp):
             raise Rejected(
                 f"exponent {exponent} for {sorted(kp)} does not balance degrees"
             )
-    _check_fixed_points(rs.rank)
+    if 1 << rs.rank > MAX_FIXED_POINTS:
+        raise Rejected(
+            f"the grid has 2^{rs.rank} fixed points, above the cap of "
+            f"{MAX_FIXED_POINTS} (MAX_FIXED_POINTS)"
+        )
     # Both sides times the common denominator of the constants, in integers.
     denom = lcm(*(c.denominator for c, _ in constants.values()))
     terms = [
-        (kp, c.numerator * (denom // c.denominator)) for kp, (c, _) in constants.items()
+        (kp, c.numerator * (denom // c.denominator)) for kp, (c, _) in constants.items() if c
     ]
+    base = K.intersection(*(kp for kp, _ in terms))
+    order = _tree_order(rs)
+    monk: dict[Subset, int] = {}
+    classes: dict[tuple[Subset, Subset], int] = {}
+
+    def class_in(S: Subset, comps: tuple[Subset, ...]) -> int:
+        coeff = 1
+        for P in comps:
+            T = S & P
+            if T:
+                if (T, P) not in classes:
+                    classes[T, P] = _coxeter_sum(rs, T, *_longest(rs, P))
+                coeff *= classes[T, P]
+        return coeff
+
+    def monk_in(comps: tuple[Subset, ...]) -> int:
+        for P in comps:
+            if i in P:
+                if P not in monk:
+                    monk[P] = monk_coefficients(*_longest(rs, P), rs.rank)[i]
+                return monk[P]
+        return 0
+
     out: dict[Subset, Fraction] = {}
-    for J in _subsets_ordered(rs.rank):
-        # A class vanishes at w_J unless its subset lies in J, so most
-        # fixed points need no evaluation and no components.
-        comps, acc = None, 0
-        if K <= J:
-            comps = _components(rs, J)
-            acc = _monk_in(rs, i, comps) * _class_in(rs, K, comps) * denom
-        for kp, n in terms:
-            if kp <= J:
-                if comps is None:
-                    comps = _components(rs, J)
-                acc -= n * _class_in(rs, kp, comps)
-        out[J] = Fraction(acc, denom) if acc else _ZERO
+
+    def walk(p: int, J: Subset, comps: tuple[Subset, ...]) -> None:
+        if p == len(order):
+            acc = monk_in(comps) * class_in(K, comps) * denom if K <= J else 0
+            acc -= sum(n * class_in(kp, comps) for kp, n in terms if kp <= J)
+            if acc:
+                out[J] = Fraction(acc, denom)
+            return
+        a, parent = order[p]
+        if a not in base:
+            walk(p + 1, J, comps)
+        if parent in J:
+            comps = tuple(P | {a} if parent in P else P for P in comps)
+        else:
+            comps = (*comps, frozenset({a}))
+        walk(p + 1, J | {a}, comps)
+
+    walk(0, frozenset(), ())
     return out
 
 

@@ -216,9 +216,15 @@ def test_expansion_residuals_reject_bad_exponent():
         expansion_residuals(rs, 1, {2}, {frozenset({1, 2}): (Fraction(2), 1)})
 
 
+def test_expansion_residuals_reject_an_index_outside_the_type():
+    rs = build_root_system("A2")
+    with pytest.raises(Rejected, match="out of range"):
+        expansion_residuals(rs, 1, {2}, {frozenset({2, 5}): (Fraction(2), 0)})
+
+
 def test_expansion_residuals_reject_too_many_fixed_points():
     # A21 has 2^21 fixed points, twice MAX_FIXED_POINTS; the solve for
-    # K = {1} walks 2^20 of them and stays inside the cap.
+    # K = {1} evaluates 21 of them and has no cap.
     rs = build_root_system("A21")
     with pytest.raises(Rejected, match="MAX_FIXED_POINTS"):
         expansion_residuals(rs, 1, {1}, {})
