@@ -30,9 +30,12 @@ Root = tuple[int, ...]
 
 _FAMILIES = "ABCDEFG"
 
-# Largest positive-root count build_root_system accepts.  The closure and
-# every longest-word walk grow with it; A99 (4950 roots) still builds in
-# seconds, about five times the largest types in use (A45: 1035 roots).
+# Largest positive-root count build_root_system accepts, checked before any
+# work for every job.  Building a system costs only its Cartan matrix; the
+# closure and every longest-word walk grow with this count, and only the jobs
+# that read the roots (roots, poset, report, verify) pay for the closure.
+# A99 (4950 roots) still closes in seconds, about five times the largest
+# types in use (A45: 1035 roots).
 MAX_POSITIVE_ROOTS = 5000
 
 
@@ -144,17 +147,27 @@ def height(root: Root) -> int:
     return sum(root)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RootSystem:
-    """An immutable root system: label, Cartan matrix, and all positive roots.
+    """An immutable root system: label, Cartan matrix and positive roots.
 
-    ``positives`` is sorted by (height, coefficients), so output involving
-    it is deterministic.
+    ``positives`` is computed by reflection closure on its first read and
+    kept: starting from the simple roots, apply every simple reflection and
+    keep the positive results until nothing new appears.  It is sorted by
+    (height, coefficients), so output involving it is deterministic.  Jobs
+    that read only the Cartan matrix (``constants``, ``monk``,
+    ``giambelli``, ``longest``, ``lists``) never run the closure; ``roots``,
+    ``poset``, ``report`` and ``verify`` do.  Two systems are equal, and
+    hash alike, exactly when their labels are equal.
     """
 
     label: LieTypeLabel
     cartan: tuple[Root, ...]
-    positives: tuple[Root, ...]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RootSystem):
+            return NotImplemented
+        return self.label == other.label
 
     def __hash__(self) -> int:
         return self._hash
@@ -176,10 +189,31 @@ class RootSystem:
 
     @cached_property
     def _hash(self) -> int:
-        # Equal systems have equal labels.  Hashing the label alone, once,
-        # keeps cache lookups keyed by a system from rehashing every
-        # positive root or even the label dataclass.
+        # Systems compare by label, so the label's hash is theirs.  Computing
+        # it once keeps cache lookups keyed by a system from rehashing the
+        # label dataclass on every call.
         return hash(self.label)
+
+    @cached_property
+    def positives(self) -> tuple[Root, ...]:
+        cartan = self.cartan
+        n = self.rank
+        simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+        found: set[Root] = set(simples)
+        frontier: set[Root] = set(simples)
+        while frontier:
+            new: set[Root] = set()
+            for beta in frontier:
+                for i in range(n):
+                    pairing = sum(cartan[i][j] * beta[j] for j in range(n))
+                    image = list(beta)
+                    image[i] -= pairing
+                    gamma = tuple(image)
+                    if is_positive_root(gamma) and gamma not in found:
+                        new.add(gamma)
+            found |= new
+            frontier = new
+        return tuple(sorted(found, key=lambda r: (sum(r), r)))
 
     @cached_property
     def _positive_set(self) -> frozenset[Root]:
@@ -197,10 +231,10 @@ class RootSystem:
 def build_root_system(label: LieTypeLabel | str) -> RootSystem:
     """Construct the root system of the given type.
 
-    All positive roots are generated by reflection closure: starting from
-    the simple roots, apply every simple reflection and keep the positive
-    results until nothing new appears.  Results are cached per label, so
-    repeated calls hand back the identical object.  Types with more than
+    Only the label and the Cartan matrix are built here; the positive roots
+    come from the reflection closure on the first read of ``positives``.
+    Results are cached per label, so repeated calls hand back the identical
+    object (and its closure, once run).  Types with more than
     ``MAX_POSITIVE_ROOTS`` positive roots are rejected before any work.
 
     >>> rs = build_root_system("A2")
@@ -220,25 +254,7 @@ def build_root_system(label: LieTypeLabel | str) -> RootSystem:
 
 @lru_cache(maxsize=None)
 def _build_cached(label: LieTypeLabel) -> RootSystem:
-    cartan = _cartan_matrix(label)
-    n = label.rank
-    simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    found: set[Root] = set(simples)
-    frontier: set[Root] = set(simples)
-    while frontier:
-        new: set[Root] = set()
-        for beta in frontier:
-            for i in range(n):
-                pairing = sum(cartan[i][j] * beta[j] for j in range(n))
-                image = list(beta)
-                image[i] -= pairing
-                gamma = tuple(image)
-                if is_positive_root(gamma) and gamma not in found:
-                    new.add(gamma)
-        found |= new
-        frontier = new
-    positives = tuple(sorted(found, key=lambda r: (sum(r), r)))
-    return RootSystem(label=label, cartan=cartan, positives=positives)
+    return RootSystem(label=label, cartan=_cartan_matrix(label))
 
 
 def reflect(rs: RootSystem, i: int, root: Root) -> Root:

@@ -219,7 +219,7 @@ def test_constants_text_shows_t_powers(capsys):
     assert "* t" in out
 
 
-def test_constants_fixed_point_cap(capsys):
+def test_constants_answers_a64_and_a12(capsys):
     # 2^63 fixed points of A64 contain {1}; the solve evaluates 64 of them
     # and certifies the rest, so no fixed-point cap applies.
     code, out, err = run(capsys, "constants", "--type", "A64", "-i", "1", "--subset", "1")

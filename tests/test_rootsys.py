@@ -3,8 +3,11 @@
 import pytest
 
 from peterschub.errors import Rejected
+from peterschub.peterson import monk_structure_constants
 from peterschub.rootsys import (
     LieTypeLabel,
+    RootSystem,
+    _cartan_matrix,
     build_root_system,
     height,
     highest_root,
@@ -174,3 +177,66 @@ def test_e8_exponent_histogram():
         for level in range(1, hist[1] + 1)
     )
     assert exponents == [1, 7, 11, 13, 17, 19, 23, 29]
+
+
+# --- the closure runs on the first read of positives -------------------------
+
+CLOSURE_TYPES = (
+    [f"A{n}" for n in range(1, 13)] + [f"B{n}" for n in range(2, 9)]
+    + [f"C{n}" for n in range(2, 9)] + [f"D{n}" for n in range(3, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+def _eager_closure(cartan):
+    """Positive roots by a worklist of single reflections, sorted as in rootsys."""
+    n = len(cartan)
+    seen = {tuple(int(i == j) for j in range(n)) for i in range(n)}
+    todo = list(seen)
+    while todo:
+        beta = todo.pop()
+        for i, row in enumerate(cartan):
+            gamma = list(beta)
+            gamma[i] -= sum(a * b for a, b in zip(row, beta))
+            gamma = tuple(gamma)
+            if min(gamma) >= 0 and gamma not in seen:
+                seen.add(gamma)
+                todo.append(gamma)
+    return tuple(sorted(seen, key=lambda r: (sum(r), r)))
+
+
+def test_building_a_system_runs_no_closure():
+    rs = build_root_system("A99")
+    assert "positives" not in vars(rs)
+    assert rs.cartan[0][:2] == (2, -1)
+
+
+def test_monk_constants_read_no_root():
+    rs = build_root_system("A64")
+    assert monk_structure_constants(rs, 1, {1}) == {
+        frozenset({1}): (1, 1), frozenset({1, 2}): (1, 0),
+    }
+    assert "positives" not in vars(rs)
+
+
+@pytest.mark.parametrize("name", CLOSURE_TYPES)
+def test_first_read_of_positives_is_the_eager_closure(name):
+    label = LieTypeLabel.parse(name)
+    rs = RootSystem(label=label, cartan=_cartan_matrix(label))
+    assert "positives" not in vars(rs)
+    expected = _eager_closure(rs.cartan)
+    assert rs.positives == expected
+    assert vars(rs)["positives"] is rs.positives
+    assert len(expected) == positive_count_formula(label)
+
+
+def test_systems_are_cached_and_compare_by_label():
+    assert build_root_system("E7") is build_root_system("e7")
+    label = LieTypeLabel.parse("B4")
+    fresh = RootSystem(label=label, cartan=_cartan_matrix(label))
+    cached = build_root_system(label)
+    assert fresh is not cached
+    assert fresh == cached and hash(fresh) == hash(cached) == hash(label)
+    assert build_root_system("B4") != build_root_system("C4")
+    assert fresh != label
+    assert len({fresh, cached, build_root_system("C4")}) == 2
