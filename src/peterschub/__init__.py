@@ -2,10 +2,10 @@
 
 Root systems are generated by reflection closure in simple-root
 coordinates, Weyl group elements are handled as reduced words, class
-evaluations at torus fixed points use a weighted-subsequence dynamic
-program with a brute-force subword enumerator as its oracle, and Monk
-structure constants are solved from the inclusion-triangular fixed-point
-evaluation grid in exact rationals.
+evaluations at torus fixed points use a dynamic program over the
+weak-order ideal below the class (a forest sum for Coxeter classes) with
+a subword enumerator as their oracle, and Monk structure constants are
+read off a few fixed points by Monk's rule and certified at all of them.
 """
 
 from .billey import (

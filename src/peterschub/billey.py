@@ -8,10 +8,10 @@ the evaluation of the class of v at the fixed point w becomes
              inversion heights at those indices.
 
 Values are held as an exact integer coefficient together with the t-degree
-l(v).  Two evaluators are provided: a weighted-subsequence dynamic program
-(fast; the evaluator for a general v, while Coxeter classes go through
-``peterson``'s forest sum), and an explicit subword enumerator that
-mirrors the definition and serves as the independent oracle of both.
+l(v).  Two evaluators are provided: a dynamic program over the weak-order
+ideal below v (the evaluator for a general v, while Coxeter classes go
+through ``peterson``'s forest sum), and an oracle that lists the reduced
+words of v and enumerates the subwords of w spelling each of them.
 """
 
 from __future__ import annotations
@@ -20,12 +20,12 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, inf
 from typing import Sequence
 
 from .errors import Rejected
 from .rootsys import RootSystem
-from .weyl import Vector, Word, _reduced_walk, reduced_words
+from .weyl import Vector, Word, _descent_graph, _reduced_walk, reduced_words
 
 # Most index subsets the full subset scan may test, C(window, l(v)).
 # The scan tests under a million subsets a second, so the cap allows a few
@@ -68,42 +68,44 @@ def _sound_window(v: Word, w: Word, v_mu: Vector) -> int:
 
 @lru_cache(maxsize=None)
 def _patterns(rs: RootSystem, v: Word) -> tuple[Word, ...]:
-    """Reduced words of v, cached: evaluations repeat v across many w."""
+    """Reduced words of v for the oracle, cached: it repeats v across many w."""
     return tuple(reduced_words(rs, v))
 
 
-def _pattern_dp(pattern: Word, word: Word, weights: Sequence[int]) -> int:
-    """Weighted count of embeddings of ``pattern`` as a subsequence of ``word``.
-
-    dp[k] accumulates, over embeddings of the first k pattern letters into
-    the prefix scanned so far, the product of the matched weights.
-    """
-    dp = [0] * (len(pattern) + 1)
-    dp[0] = 1
-    for letter, weight in zip(word, weights):
-        for k in range(len(pattern), 0, -1):
-            if pattern[k - 1] == letter and dp[k - 1]:
-                dp[k] += dp[k - 1] * weight
-    return dp[len(pattern)]
+@lru_cache(maxsize=None)
+def _descent_edges(rs: RootSystem, v_mu: Vector) -> dict[int, list[tuple[Vector, Vector]]]:
+    """The edges ``(u, u*s_j)`` of the weak-order ideal below v by letter j, cached."""
+    edges: dict[int, list[tuple[Vector, Vector]]] = {}
+    for mu, out in _descent_graph(rs, v_mu, inf).items():
+        for j, child in out:
+            edges.setdefault(j, []).append((mu, child))
+    return edges
 
 
 def billey_eval_dp(rs: RootSystem, v: Sequence[int], w: Sequence[int]) -> LocalizationValue:
-    """Evaluate p_v(w) by dynamic programming over each pattern in R(v).
+    """Evaluate p_v(w) by one dynamic program over the weak-order ideal below v.
 
-    Distinct patterns match disjoint families of index subsets (an index
-    subset determines its letter sequence), so summing the per-pattern
-    totals is exact.
+    Walking w from right to left, ``value[u]`` sums the weight products of
+    the subwords walked so far that spell x with u * x = v, reduced.  A
+    position with letter j and height h adds ``value[u] * h`` to
+    ``value[u * s_j]`` for every u with right descent j; j is an ascent of
+    u * s_j, so no position is used twice.  The answer is the value at
+    the identity.  No reduced word of v is listed; only the ideal's size
+    is capped (``weyl._COUNT_MEMO_CAP``).
 
     >>> from peterschub.rootsys import build_root_system
     >>> rs = build_root_system("A2")
     >>> billey_eval_dp(rs, (1, 2), (1, 2, 1))
     LocalizationValue(coeff=2, degree=2)
     """
-    v, w, weights, _ = _check_pair(rs, v, w)
-    total = 0
-    for pattern in _patterns(rs, v):
-        total += _pattern_dp(pattern, w, weights)
-    return LocalizationValue(coeff=total, degree=len(v))
+    v, w, weights, v_mu = _check_pair(rs, v, w)
+    edges = _descent_edges(rs, v_mu)
+    value = {v_mu: 1}
+    for j, h in zip(reversed(w), reversed(weights)):
+        for u, child in edges.get(j, ()):
+            if u in value:
+                value[child] = value.get(child, 0) + value[u] * h
+    return LocalizationValue(coeff=value.get((1,) * rs.rank, 0), degree=len(v))
 
 
 def earliest_sound_window(rs: RootSystem, v: Sequence[int], w: Sequence[int]) -> int:

@@ -4,9 +4,8 @@ Classes are indexed by subsets K of simple-root indices, fixed points by
 subsets J; the class of K is evaluated at the fixed point of J as
 p_{v_K}(w_J), where v_K is the Coxeter element of K (increasing-index
 word) and w_J the longest element of J.  Evaluations vanish unless
-K is contained in J, which makes the full evaluation grid triangular
-under inclusion and lets products be expanded by back-substitution in
-exact rational arithmetic.
+K is contained in J, so the evaluation grid is triangular under
+inclusion, and a Monk expansion is read off a few of its fixed points.
 
 v_K uses each letter of K once, so its reduced words are the linear
 extensions of its heap: a comes before b for every Dynkin edge a-b of K
@@ -18,8 +17,7 @@ O(|K| * l(w_J)) steps; the reduced words of v_K are never listed.
 the Monk solve and ``class_eval`` run it on the cached word of each
 connected w_P, ``giambelli_eval`` and ``build_report`` on the canonical
 or seed word of the fixed point, which is checked by its length.
-``billey_eval_dp`` remains the evaluator for a general v and the
-reference the forest DP is tested against.
+The tests hold it equal to ``billey_eval_dp``, the general-v evaluator.
 
 Every fixed point is evaluated through the connected components of J in
 the Dynkin diagram.  The longest elements of the components commute, so

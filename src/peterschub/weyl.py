@@ -208,16 +208,16 @@ def _longest_walk(rs: RootSystem, subset: Iterable[int]) -> tuple[Word, tuple[in
 
 
 def _descent_graph(
-    rs: RootSystem, target: Vector, limit: int
+    rs: RootSystem, target: Vector, limit: float
 ) -> dict[Vector, list[tuple[int, Vector]]]:
     """The weak-order ideal below ``target``, as right-descent edges.
 
-    Maps each element of the ideal to its pairs ``(j, element * s_j)``
-    over right descents j; the identity maps to no pairs.  Reduced words
-    are counted over the ideal on the way, with an explicit stack so that
-    long elements cannot exhaust the interpreter's recursion depth, and
-    the walk rejects (rather than answers wrongly) when either the count
-    passes ``limit`` or the ideal passes its size cap.
+    Maps each element to its pairs ``(j, element * s_j)`` over right
+    descents j, for ``reduced_words`` and ``billey_eval_dp``.  Reduced
+    words are counted on the way, with an explicit stack so that long
+    elements cannot exhaust the interpreter's recursion depth, and the
+    walk rejects when the count passes ``limit`` (``inf`` for no limit)
+    or the ideal passes ``_COUNT_MEMO_CAP`` elements.
     """
     identity = (1,) * rs.rank
     below: dict[Vector, list[tuple[int, Vector]]] = {identity: []}
@@ -246,8 +246,8 @@ def _descent_graph(
             )
         if len(counts) > _COUNT_MEMO_CAP:
             raise Rejected(
-                "weak-order ideal below the element is too large to count "
-                "reduced words; refusing to enumerate"
+                "the weak-order ideal below the element passes the cap of "
+                f"{_COUNT_MEMO_CAP} elements (_COUNT_MEMO_CAP)"
             )
         counts[mu] = total
     return below

@@ -1,8 +1,13 @@
 """Localization evaluations: dynamic program vs. explicit subword oracle."""
 
+from collections import Counter
+from itertools import combinations
+from math import prod
+
 import pytest
 
 import peterschub.billey as billey
+import peterschub.weyl as weyl
 from peterschub.billey import (
     LocalizationValue,
     billey_eval_bruteforce,
@@ -11,8 +16,15 @@ from peterschub.billey import (
 )
 from peterschub.errors import Rejected
 from peterschub.peterson import coxeter_word
-from peterschub.rootsys import build_root_system
-from peterschub.weyl import element_words, longest_element_word, reduced_words
+from peterschub.rootsys import build_root_system, height
+from peterschub.weyl import (
+    braid_variant,
+    element_matrix,
+    element_words,
+    inversion_roots,
+    longest_element_word,
+    reduced_words,
+)
 
 
 def test_value_str():
@@ -127,3 +139,60 @@ def test_giambelli_instance_e6_dual_route():
     w0 = longest_element_word(rs, range(1, 7))
     dp = billey_eval_dp(rs, vk, w0)
     assert dp.degree == 6 and dp.coeff > 0
+
+
+def root_route_sums(rs, w):
+    """Billey's sum at w for every v at once, by roots alone.
+
+    Maps (l, element matrix) to the sum, over the index subsets of w of
+    size l whose subword spells that element, of the product of the
+    heights of w's inversion roots at those positions.  A subword of
+    length l(v) that spells v is a reduced word of v.
+    """
+    heights = [height(root) for root in inversion_roots(rs, w)]
+    sums = Counter()
+    for size in range(len(w) + 1):
+        for subset in combinations(range(len(w)), size):
+            key = (size, element_matrix(rs, [w[p] for p in subset]))
+            sums[key] += prod(heights[p] for p in subset)
+    return sums
+
+
+@pytest.mark.parametrize(
+    "label,every_w",
+    [("A3", True), ("B2", True), ("G2", True), ("B3", False), ("C3", False), ("A4", False)],
+)
+def test_dp_matches_the_root_route(label, every_w):
+    # The root route shares no code with the DP: no height walk, no
+    # reduced words and no descent graph.
+    rs = build_root_system(label)
+    elements = element_words(rs)
+    for w in elements if every_w else [longest_element_word(rs, range(1, rs.rank + 1))]:
+        sums = root_route_sums(rs, w)
+        for v in elements:
+            expected = sums[(len(v), element_matrix(rs, v))]
+            assert billey_eval_dp(rs, v, w) == LocalizationValue(expected, len(v)), (v, w)
+
+
+@pytest.mark.parametrize("label", ("F4", "B5", "A6", "D6"))
+def test_dp_answers_w0_past_the_word_cap(label, monkeypatch):
+    # w0 of each type has more than 10^6 reduced words.  At v = w = w0
+    # only the full index subset counts, so the value is the product of
+    # w0's inversion heights, at any reduced word of w0.
+    monkeypatch.setattr(billey, "reduced_words", None)
+    rs = build_root_system(label)
+    w0 = longest_element_word(rs, range(1, rs.rank + 1))
+    expected = LocalizationValue(prod(height(r) for r in inversion_roots(rs, w0)), len(w0))
+    assert billey_eval_dp(rs, w0, w0) == expected
+    assert billey_eval_dp(rs, w0, braid_variant(rs, w0)) == expected
+
+
+def test_dp_refuses_an_ideal_past_its_cap(monkeypatch):
+    # E7's w0 has an ideal of 2903040 elements; A4's 120 show the same refusal.
+    billey._descent_edges.cache_clear()
+    monkeypatch.setattr(weyl, "_COUNT_MEMO_CAP", 100)
+    rs = build_root_system("A4")
+    w0 = longest_element_word(rs, range(1, 5))
+    with pytest.raises(Rejected, match=r"passes the cap of 100 elements \(_COUNT_MEMO_CAP\)$"):
+        billey_eval_dp(rs, w0, w0)
+    assert billey_eval_dp(rs, (1, 2, 1), w0) == billey_eval_bruteforce(rs, (1, 2, 1), w0)

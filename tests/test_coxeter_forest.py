@@ -3,8 +3,9 @@ by Monk's rule.
 
 ``class_eval`` evaluates p_{v_K}(w_J) by a dynamic program over the Dynkin
 forest induced on K.  The references below are ``billey_eval_dp`` (one
-subsequence DP per reduced word of v_K), the backtracking oracle, and, for
-commuting letters, the product of Monk values.  ``monk_structure_constants``
+DP over the weak-order ideal below v_K, named the "pattern dp" in test
+names after the per-word DP it replaced), the backtracking oracle, and,
+for commuting letters, the product of Monk values.  ``monk_structure_constants``
 solves only at the fixed points w_K and w_{K+j} and certifies the rest; the
 dense reference kept here solves at every fixed point, with every class
 value taken from ``billey_eval_dp``.  Values at a
@@ -119,7 +120,7 @@ def test_forest_matches_the_backtracking_oracle(case):
 def test_commuting_letters_give_the_product_of_monk_values(label):
     # Every reduced word of v_K is an ordering of K, so the class is the
     # product of the degree-one classes, at w0 and at w_K alike.  A20's ten
-    # letters have 10! reduced words, past the cap of billey_eval_dp.
+    # letters have 10! reduced words, past the word cap of the oracle.
     rs = build_root_system(label)
     K = frozenset(range(1, rs.rank + 1, 2))
     for J in (full_subset(rs), K):
