@@ -1,11 +1,11 @@
 """Exact-arithmetic Schubert calculus on Peterson varieties.
 
 Root systems are generated by reflection closure in simple-root
-coordinates, Weyl group elements are handled as reduced words, class
-evaluations at torus fixed points use a dynamic program over the
-weak-order ideal below the class (a forest sum for Coxeter classes) with
-a subword enumerator as their oracle, and Monk structure constants are
-read off a few fixed points by Monk's rule and certified at all of them.
+coordinates, Weyl group elements are handled as reduced words, every
+class evaluation at a torus fixed point is one dynamic program over the
+weak-order ideal below the class, with a subword enumerator as its
+oracle, and Monk structure constants are read off a few fixed points by
+Monk's rule and certified at all of them.
 """
 
 from .billey import (

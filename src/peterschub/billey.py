@@ -9,9 +9,8 @@ the evaluation of the class of v at the fixed point w becomes
 
 Values are held as an exact integer coefficient together with the t-degree
 l(v).  Two evaluators are provided: a dynamic program over the weak-order
-ideal below v (the evaluator for a general v, while Coxeter classes go
-through ``peterson``'s forest sum), and an oracle that lists the reduced
-words of v and enumerates the subwords of w spelling each of them.
+ideal below v, the one evaluator of every class, and an oracle that lists
+the reduced words of v and enumerates the subwords of w spelling each of them.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import comb, inf
+from math import comb, inf, prod
 from typing import Sequence
 
 from .errors import Rejected
@@ -72,14 +71,47 @@ def _patterns(rs: RootSystem, v: Word) -> tuple[Word, ...]:
     return tuple(reduced_words(rs, v))
 
 
+# A weak-order ideal numbered for ``_ideal_sum``: each element's value before
+# the walk, the identity of each factor, and the edges (u, u*s_j) by letter j.
+Ideal = tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...]]
+
+
 @lru_cache(maxsize=None)
-def _descent_edges(rs: RootSystem, v_mu: Vector) -> dict[int, list[tuple[Vector, Vector]]]:
-    """The edges ``(u, u*s_j)`` of the weak-order ideal below v by letter j, cached."""
-    edges: dict[int, list[tuple[Vector, Vector]]] = {}
-    for mu, out in _descent_graph(rs, v_mu, inf).items():
+def _ideal(rs: RootSystem, v_mu: Vector) -> Ideal:
+    """The weak-order ideal below v as one factor, valued 1 at v, cached."""
+    below = _descent_graph(rs, v_mu, inf)
+    ids = {mu: k for k, mu in enumerate(below)}
+    edges: list[list[tuple[int, int]]] = [[] for _ in range(rs.rank + 1)]
+    for mu, out in below.items():
         for j, child in out:
-            edges.setdefault(j, []).append((mu, child))
-    return edges
+            edges[j].append((ids[mu], ids[child]))
+    start = tuple(int(mu == v_mu) for mu in below)
+    return start, (ids[(1,) * rs.rank],), tuple(map(tuple, edges))
+
+
+def _join(ideals: Sequence[Ideal]) -> Ideal:
+    """Ideals below elements on disjoint letters, numbered side by side: their product's."""
+    start, bottoms, edges = [], [], [()] * len(ideals[0][2])
+    for part_start, part_bottoms, part_edges in ideals:
+        n = len(start)
+        start += part_start
+        bottoms += [b + n for b in part_bottoms]
+        for j, pairs in enumerate(part_edges):
+            edges[j] += tuple((u + n, child + n) for u, child in pairs)
+    return tuple(start), tuple(bottoms), tuple(edges)
+
+
+def _ideal_sum(ideal: Ideal, w: Word, weights: Sequence[int]) -> int:
+    """``billey_eval_dp``'s coefficient, all factors in one pass over w and its heights."""
+    start, bottoms, edges = ideal
+    value = list(start)
+    for p in reversed(range(len(w))):
+        pairs = edges[w[p]]
+        if pairs:
+            h = weights[p]
+            for u, child in pairs:
+                value[child] += value[u] * h
+    return prod([value[b] for b in bottoms])
 
 
 def billey_eval_dp(rs: RootSystem, v: Sequence[int], w: Sequence[int]) -> LocalizationValue:
@@ -99,13 +131,7 @@ def billey_eval_dp(rs: RootSystem, v: Sequence[int], w: Sequence[int]) -> Locali
     LocalizationValue(coeff=2, degree=2)
     """
     v, w, weights, v_mu = _check_pair(rs, v, w)
-    edges = _descent_edges(rs, v_mu)
-    value = {v_mu: 1}
-    for j, h in zip(reversed(w), reversed(weights)):
-        for u, child in edges.get(j, ()):
-            if u in value:
-                value[child] = value.get(child, 0) + value[u] * h
-    return LocalizationValue(coeff=value.get((1,) * rs.rank, 0), degree=len(v))
+    return LocalizationValue(coeff=_ideal_sum(_ideal(rs, v_mu), w, weights), degree=len(v))
 
 
 def earliest_sound_window(rs: RootSystem, v: Sequence[int], w: Sequence[int]) -> int:

@@ -7,17 +7,13 @@ word) and w_J the longest element of J.  Evaluations vanish unless
 K is contained in J, so the evaluation grid is triangular under
 inclusion, and a Monk expansion is read off a few of its fixed points.
 
-v_K uses each letter of K once, so its reduced words are the linear
-extensions of its heap: a comes before b for every Dynkin edge a-b of K
-with a < b.  Billey's subword sum for p_{v_K}(w_J) is therefore a
-dynamic program over the Dynkin forest induced on K, walked in the
-diagram's tree order on a reduced word of w_J and its heights, in
-O(|K| * l(w_J)) steps; the reduced words of v_K are never listed.
-``_coxeter_sum``, that program, is the one evaluator of a Coxeter class:
-the Monk solve and ``class_eval`` run it on the cached word of each
-connected w_P, ``giambelli_eval`` and ``build_report`` on the canonical
-or seed word of the fixed point, which is checked by its length.
-The tests hold it equal to ``billey_eval_dp``, the general-v evaluator.
+A class is evaluated by ``billey``'s dynamic program over the weak-order
+ideal below v_K.  v_K is the product of the Coxeter elements of K's
+Dynkin components, which use disjoint, commuting letters, so each
+component's ideal is built once and all of them share one pass over the
+word (``_coxeter_sum``).  The Monk solve and ``class_eval`` run it on the
+cached word of each connected w_P, ``giambelli_eval`` and ``build_report``
+on the canonical or seed word of the fixed point, checked by its length.
 
 Every fixed point is evaluated through the connected components of J in
 the Dynkin diagram.  The longest elements of the components commute, so
@@ -52,14 +48,13 @@ the ``report`` subcommand's payload, the dict that the CLI prints.
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import combinations
 from math import lcm, prod
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
-from .billey import LocalizationValue, billey_eval_bruteforce
+from .billey import Ideal, LocalizationValue, _ideal, _ideal_sum, _join, billey_eval_bruteforce
 from .errors import InvariantViolation, Rejected
 from .rootsys import RootSystem, height
 from .weyl import (
@@ -67,6 +62,7 @@ from .weyl import (
     _longest_walk,
     _normalize_subset,
     _reduced_walk,
+    _walk,
     reduced_words,
 )
 
@@ -254,42 +250,18 @@ def giambelli_ratio(rs: RootSystem, K: Iterable[int] | None = None) -> Fraction:
     return Fraction(num, giambelli_eval(rs, K).coeff)
 
 
-def _coxeter_sum(rs: RootSystem, S: Subset, word: Word, heights: Sequence[int]) -> int:
-    """Coefficient of p_{v_S}(w) for nonempty S, on a reduced word of w.
+@lru_cache(maxsize=None)
+def _class_ideal(rs: RootSystem, S: Subset) -> Ideal:
+    """The weak-order ideal below v_S, one factor per Dynkin component of S, cached."""
+    comps = _components(rs, S)
+    if len(comps) > 1:
+        return _join([_class_ideal(rs, C) for C in comps])
+    return _ideal(rs, _walk(rs, coxeter_word(S))[2])
 
-    A term of the subword sum places each letter a of S at a position of
-    the word carrying a, with a before b for every Dynkin edge a-b of S
-    with a < b, and multiplies the heights there.  S is summed children
-    first along ``_tree_order``: a position of a carries its height
-    times, for each child c, the sum of c's values over the positions
-    after it (c > a) or before it (c < a).  A node whose parent is not in
-    S roots a component, one factor of the product; the diagram is a
-    tree, so the sum does not depend on the roots.
-    """
-    positions: dict[int, list[int]] = {a: [] for a in S}
-    for p, letter in enumerate(word):
-        if letter in positions:
-            positions[letter].append(p)
-    # The values of the nodes of S already summed, under their parent.
-    pending: dict[int, list[tuple[int, list[int]]]] = {}
-    coeff = 1
-    for a, parent in reversed(_tree_order(rs)):
-        if a not in S:
-            continue
-        pos = positions[a]
-        vals = [heights[p] for p in pos]
-        for c, cvals in pending.pop(a, ()):
-            cpos = positions[c]
-            prefix = [0, *accumulate(cvals)]
-            whole = prefix[-1]
-            for k, p in enumerate(pos):
-                before = prefix[bisect_left(cpos, p)]
-                vals[k] *= whole - before if c > a else before
-        if parent in S:
-            pending.setdefault(parent, []).append((a, vals))
-        else:
-            coeff *= sum(vals)
-    return coeff
+
+def _coxeter_sum(rs: RootSystem, S: Subset, word: Word, heights: Sequence[int]) -> int:
+    """Coefficient of p_{v_S}(w) for nonempty S, on a reduced word of w."""
+    return _ideal_sum(_class_ideal(rs, S), word, heights)
 
 
 @lru_cache(maxsize=None)

@@ -15,7 +15,7 @@ from peterschub.billey import (
     earliest_sound_window,
 )
 from peterschub.errors import Rejected
-from peterschub.peterson import coxeter_word
+from peterschub.peterson import _subsets_ordered, class_eval, coxeter_word, giambelli_eval
 from peterschub.rootsys import build_root_system, height
 from peterschub.weyl import (
     braid_variant,
@@ -174,6 +174,27 @@ def test_dp_matches_the_root_route(label, every_w):
             assert billey_eval_dp(rs, v, w) == LocalizationValue(expected, len(v)), (v, w)
 
 
+@pytest.mark.parametrize(
+    "label,every_j", [("A3", True), ("B2", True), ("G2", True), ("B3", False), ("C3", False)]
+)
+def test_coxeter_classes_match_the_root_route(label, every_j):
+    # class_eval and giambelli_eval run the DP on the ideals of K's Dynkin
+    # components side by side; the root route sums the same subwords with
+    # no height walk, no reduced words and no descent graph.
+    rs = build_root_system(label)
+    full = frozenset(range(1, rs.rank + 1))
+    for J in _subsets_ordered(rs.rank) if every_j else [full]:
+        sums = root_route_sums(rs, longest_element_word(rs, J))
+        for K in _subsets_ordered(rs.rank):
+            if K and K <= J:
+                expected = sums[(len(K), element_matrix(rs, coxeter_word(K)))]
+                assert class_eval(rs, K, J) == LocalizationValue(expected, len(K)), (K, J)
+    w0 = longest_element_word(rs, full)
+    for u in (w0, reduced_words(rs, w0)[-1]):
+        expected = root_route_sums(rs, u)[(rs.rank, element_matrix(rs, coxeter_word(full)))]
+        assert giambelli_eval(rs, word=u) == LocalizationValue(expected, rs.rank), u
+
+
 @pytest.mark.parametrize("label", ("F4", "B5", "A6", "D6"))
 def test_dp_answers_w0_past_the_word_cap(label, monkeypatch):
     # w0 of each type has more than 10^6 reduced words.  At v = w = w0
@@ -189,7 +210,7 @@ def test_dp_answers_w0_past_the_word_cap(label, monkeypatch):
 
 def test_dp_refuses_an_ideal_past_its_cap(monkeypatch):
     # E7's w0 has an ideal of 2903040 elements; A4's 120 show the same refusal.
-    billey._descent_edges.cache_clear()
+    billey._ideal.cache_clear()
     monkeypatch.setattr(weyl, "_COUNT_MEMO_CAP", 100)
     rs = build_root_system("A4")
     w0 = longest_element_word(rs, range(1, 5))

@@ -1,11 +1,13 @@
-"""Differential tests: Coxeter classes by the heap-forest DP, Monk constants
-by Monk's rule.
+"""Differential tests: Coxeter classes against references, and Monk
+constants by Monk's rule.
 
-``class_eval`` evaluates p_{v_K}(w_J) by a dynamic program over the Dynkin
-forest induced on K.  The references below are ``billey_eval_dp`` (one
-DP over the weak-order ideal below v_K, named the "pattern dp" in test
-names after the per-word DP it replaced), the backtracking oracle, and,
-for commuting letters, the product of Monk values.  ``monk_structure_constants``
+``class_eval`` evaluates p_{v_K}(w_J) by ``billey``'s DP on the ideals of
+K's Dynkin components, side by side.  The references below are
+``billey_eval_dp`` on the one ideal below v_K, the backtracking oracle,
+and, for commuting letters, the product of Monk values; the independent
+route is ``tests/test_billey.py::test_coxeter_classes_match_the_root_route``.
+In test names, "forest" stands for ``class_eval`` and "pattern dp" for
+``billey_eval_dp``.  ``monk_structure_constants``
 solves only at the fixed points w_K and w_{K+j} and certifies the rest; the
 dense reference kept here solves at every fixed point, with every class
 value taken from ``billey_eval_dp``.  Values at a
@@ -20,7 +22,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from peterschub import peterson
+from peterschub import billey, peterson, weyl
 from peterschub.billey import billey_eval_bruteforce, billey_eval_dp
 from peterschub.peterson import (
     _subsets_ordered,
@@ -78,7 +80,7 @@ def inclusion_pairs(rs):
                 yield frozenset(K), J
 
 
-# --- the forest DP -----------------------------------------------------------
+# --- Coxeter classes --------------------------------------------------------
 
 
 @pytest.mark.parametrize("label", RANK_LE_4 + ("E6",))
@@ -116,11 +118,16 @@ def test_forest_matches_the_backtracking_oracle(case):
     assert class_eval(rs, K, J) == oracle
 
 
-@pytest.mark.parametrize("label", ("A16", "A20"))
-def test_commuting_letters_give_the_product_of_monk_values(label):
+@pytest.mark.parametrize("label", ("A16", "A20", "A40"))
+def test_commuting_letters_give_the_product_of_monk_values(label, monkeypatch):
     # Every reduced word of v_K is an ordering of K, so the class is the
     # product of the degree-one classes, at w0 and at w_K alike.  A20's ten
-    # letters have 10! reduced words, past the word cap of the oracle.
+    # letters have 10! reduced words, past the word cap of the oracle.  Each
+    # letter's ideal has two elements, while one ideal of A40's twenty
+    # commuting letters would have 2^20, far past the cap of 64 set here.
+    for fn in (billey._ideal, peterson._class_ideal, peterson._connected_class):
+        fn.cache_clear()
+    monkeypatch.setattr(weyl, "_COUNT_MEMO_CAP", 64)
     rs = build_root_system(label)
     K = frozenset(range(1, rs.rank + 1, 2))
     for J in (full_subset(rs), K):
@@ -201,7 +208,8 @@ def test_sparse_solve_matches_the_dense_reference(label):
 
 def test_solve_evaluates_only_the_supersets_of_k(monkeypatch):
     rs = build_root_system("A10")
-    for fn in (peterson._connected_class, peterson._longest, peterson._monk_at):
+    for fn in (peterson._connected_class, peterson._longest, peterson._monk_at,
+               peterson._class_ideal, billey._ideal):
         fn.cache_clear()
     walked = []
 
@@ -221,3 +229,7 @@ def test_solve_evaluates_only_the_supersets_of_k(monkeypatch):
     # classes of {1} and {1, 2} (the other constant): 27 in all.  A cache
     # keyed by (K', J) over the 2^9 fixed points would hold over 1000.
     assert peterson._connected_class.cache_info().currsize <= 3 * 10
+    # One ideal per class the solve and the certificate meet, {1}, {1, 2}
+    # and the eight {j} for j >= 3, each connected and built once.
+    assert billey._ideal.cache_info().currsize == peterson._class_ideal.cache_info().currsize
+    assert billey._ideal.cache_info().misses <= 10
