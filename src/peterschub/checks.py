@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable
+from typing import Callable, Iterator
 
 from .billey import (
     LocalizationValue,
@@ -24,7 +24,6 @@ from .billey import (
 )
 from .errors import InvariantViolation, Rejected
 from .peterson import (
-    _subsets_ordered,
     build_report,
     class_eval,
     coxeter_word,
@@ -70,6 +69,18 @@ _FULL_TYPES = ("A4", "A5", "A6", "A7", "A8", "B4", "C4", "D4", "F4", "E6", "E7",
 def _catalog(level: str) -> tuple[str, ...]:
     """The types of the catalog-wide checks: quick adds E6, full the rest."""
     return _QUICK_TYPES + (("E6",) if level == "quick" else _FULL_TYPES)
+
+
+def _subsets_ordered(rank: int) -> Iterator[frozenset[int]]:
+    """All index subsets, by cardinality then lexicographic.
+
+    The order is inclusion-compatible: every subset comes after those it
+    contains.  The subsets are generated one at a time, so a walk over
+    them holds only what it keeps.
+    """
+    for size in range(rank + 1):
+        for combo in combinations(range(1, rank + 1), size):
+            yield frozenset(combo)
 
 
 def _chain_rank(rs: RootSystem) -> dict[Word, int]:

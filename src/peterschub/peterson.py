@@ -11,20 +11,22 @@ A class is evaluated by ``billey``'s dynamic program over the weak-order
 ideal below v_K.  v_K is the product of the Coxeter elements of K's
 Dynkin components, which use disjoint, commuting letters, so each
 component's ideal is built once and all of them share one pass over the
-word (``_coxeter_sum``).  The Monk solve and ``class_eval`` run it on the
-cached word of each connected w_P, ``giambelli_eval`` and ``build_report``
-on the canonical or seed word of the fixed point, checked by its length.
+word (``_coxeter_sum``).  A Monk value p_{s_i} is the class of K = {i},
+s_i being the Coxeter element of one letter.  ``giambelli_eval``,
+``monk_eval`` and ``build_report`` sum on the canonical or seed word of
+the fixed point, checked by its length.
 
-Every fixed point is evaluated through the connected components of J in
-the Dynkin diagram.  The longest elements of the components commute, so
-w_J is their product and its inversion set the disjoint union of theirs,
-each root keeping its height; a step by letter j changes the height
-vector only at j and its neighbours, so the canonical word of w_J
-restricted to a component P is the canonical word of w_P.  Hence
-p_{v_K}(w_J) is the product, over the components P of J that meet K, of
-p_{v_{K & P}}(w_P), and p_{s_i}(w_J) = p_{s_i}(w_P) for the P holding i.
-Words, heights and class values are cached for connected P only; the
-2^rank fixed points are products of those few values.
+Every other fixed point is evaluated through the connected components of
+J in the Dynkin diagram.  The longest elements of the components
+commute, so w_J is their product and its inversion set the disjoint
+union of theirs, each root keeping its height; a step by letter j
+changes the height vector only at j and its neighbours, so the canonical
+word of w_J restricted to a component P is the canonical word of w_P.
+Hence p_{v_K}(w_J) is the product, over the components P of J that meet
+K, of p_{v_{K & P}}(w_P), and 0 unless those parts hold all of K
+(``_class_in``).  The Monk solve, its certificate and ``class_eval``
+take the factors from ``_connected_class``, cached for connected P only;
+the 2^rank fixed points are products of those few values.
 
 A Monk expansion p_{s_i} * p_{v_K} is solved by Monk's rule for Peterson
 varieties (Drellich): its constants sit at K and at K + {j}, so they are
@@ -50,9 +52,8 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import lcm, prod
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .billey import Ideal, LocalizationValue, _ideal, _ideal_sum, _join, billey_eval_bruteforce
 from .errors import InvariantViolation, Rejected
@@ -111,12 +112,19 @@ def _longest(rs: RootSystem, J: Subset) -> tuple[Word, tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
+def _neighbours(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
+    """Each Dynkin node's neighbours in increasing order, at the node's index."""
+    nodes = range(1, rs.rank + 1)
+    return ((), *(tuple(b for b in nodes if b != a and rs.cartan[a - 1][b - 1]) for a in nodes))
+
+
+@lru_cache(maxsize=None)
 def _tree_order(rs: RootSystem) -> tuple[tuple[int, int], ...]:
     """The Dynkin nodes breadth-first from node 1, each with its parent (0 at 1)."""
     order, parent = [1], {1: 0}
     for a in order:
-        for b in range(1, rs.rank + 1):
-            if b not in parent and rs.cartan[a - 1][b - 1]:
+        for b in _neighbours(rs)[a]:
+            if b not in parent:
                 parent[b] = a
                 order.append(b)
     return tuple((a, parent[a]) for a in order)
@@ -176,20 +184,6 @@ def monk_coefficients(word: Word, heights: Sequence[int], rank: int) -> dict[int
     return coeffs
 
 
-@lru_cache(maxsize=None)
-def _monk_at(rs: RootSystem, P: Subset) -> dict[int, int]:
-    """``monk_coefficients`` of w_P for connected P; callers only read it."""
-    return monk_coefficients(*_longest(rs, P), rs.rank)
-
-
-def _monk_in(rs: RootSystem, i: int, comps: Sequence[Subset]) -> int:
-    """Coefficient of p_{s_i}(w_J), J given by its components; 0 if i is not in J."""
-    for P in comps:
-        if i in P:
-            return _monk_at(rs, P)[i]
-    return 0
-
-
 def monk_eval(
     rs: RootSystem,
     i: int,
@@ -197,11 +191,13 @@ def monk_eval(
     *,
     word: Sequence[int] | None = None,
 ) -> LocalizationValue:
-    """p_{s_i}(w_J): t times the sum of inversion heights at letter-i positions.
+    """p_{s_i}(w_J), the class of the one-letter Coxeter element s_i.
 
-    J defaults to the full simple set.  When ``word`` is supplied it must
-    be a reduced word of w_J; the value does not depend on the choice.
-    An index i outside J gives coefficient 0 (the letter never occurs).
+    Its coefficient sums the inversion heights at the positions of letter
+    i in a reduced word of w_J.  J defaults to the full simple set.  When
+    ``word`` is supplied it must be a reduced word of w_J; the value does
+    not depend on the choice.  An index i outside J gives coefficient 0
+    (the letter never occurs).
 
     >>> from peterschub.rootsys import build_root_system
     >>> monk_eval(build_root_system("A2"), 1)
@@ -209,10 +205,7 @@ def monk_eval(
     """
     rs.check_index(i)
     J = full_subset(rs) if J is None else _normalize_subset(rs, J)
-    if word is None:
-        return LocalizationValue(_monk_in(rs, i, _components(rs, J)), 1)
-    coeffs = monk_coefficients(*_fixed_point(rs, J, word), rs.rank)
-    return LocalizationValue(coeffs[i], 1)
+    return LocalizationValue(_coxeter_sum(rs, frozenset({i}), *_fixed_point(rs, J, word)), 1)
 
 
 def giambelli_eval(
@@ -270,45 +263,36 @@ def _connected_class(rs: RootSystem, S: Subset, P: Subset) -> int:
     return _coxeter_sum(rs, S, *_longest(rs, P))
 
 
-def _class_in(rs: RootSystem, K: Subset, comps: Sequence[Subset]) -> int:
-    """Coefficient of p_{v_K}(w_J) for K inside J, J given by its components.
+def _class_in(
+    rs: RootSystem,
+    K: Subset,
+    comps: Sequence[Subset],
+    value: Callable[[RootSystem, Subset, Subset], int],
+) -> int:
+    """Coefficient of p_{v_K}(w_J), J given by its components.
 
-    The product of the class values of K's part in each component of J;
-    1 for the empty class.
+    The product over the components P of J of ``value(rs, K & P, P)``, the
+    class of K's part in P at w_P; 1 for the empty class.  It vanishes
+    unless J contains K, counted from the letters met: every reduced word
+    of v_K uses all letters of K while w_J's words use only letters of J.
     """
-    coeff = 1
+    coeff, met = 1, 0
     for P in comps:
         S = K & P
         if S:
-            coeff *= _connected_class(rs, S, P)
-    return coeff
-
-
-def _class_eval(rs: RootSystem, K: Subset, J: Subset) -> LocalizationValue:
-    """p_{v_K}(w_J) with the empty class equal to 1 at every fixed point.
-
-    Vanishes whenever K is not contained in J: every reduced word of v_K
-    uses all letters of K while w_J's words use only letters of J.
-    """
-    coeff = _class_in(rs, K, _components(rs, J)) if K <= J else 0
-    return LocalizationValue(coeff, len(K))
+            coeff *= value(rs, S, P)
+            met += len(S)
+    return coeff if met == len(K) else 0
 
 
 def class_eval(rs: RootSystem, K: Iterable[int], J: Iterable[int]) -> LocalizationValue:
-    """Public wrapper for p_{v_K}(w_J) accepting arbitrary index iterables."""
-    return _class_eval(rs, _normalize_subset(rs, K), _normalize_subset(rs, J))
+    """p_{v_K}(w_J) with the empty class equal to 1 at every fixed point.
 
-
-def _subsets_ordered(rank: int) -> Iterator[Subset]:
-    """All index subsets, by cardinality then lexicographic.
-
-    The order is inclusion-compatible: every subset comes after those it
-    contains.  The subsets are generated one at a time, so a walk over
-    them holds only what it keeps.
+    Vanishes whenever K is not contained in J.
     """
-    for size in range(rank + 1):
-        for combo in combinations(range(1, rank + 1), size):
-            yield frozenset(combo)
+    K = _normalize_subset(rs, K)
+    comps = _components(rs, _normalize_subset(rs, J))
+    return LocalizationValue(_class_in(rs, K, comps, _connected_class), len(K))
 
 
 def monk_structure_constants(
@@ -349,12 +333,13 @@ def monk_structure_constants(
     c_K = 0  # until J = K, where the formula below gives c_K = m_i(w_K)
     for J in (K, *(K | {j} for j in range(1, rs.rank + 1) if j not in K)):
         comps = _components(rs, J)
-        diag = prod(_connected_class(rs, P, P) for P in comps)
+        diag = _class_in(rs, J, comps, _connected_class)
         if diag <= 0:
             raise InvariantViolation(
                 f"diagonal evaluation at {sorted(J)} is {diag}; grid not triangular"
             )
-        c = Fraction((_monk_in(rs, i, comps) - c_K) * _class_in(rs, K, comps), diag)
+        m = _class_in(rs, frozenset({i}), comps, _connected_class)
+        c = Fraction((m - c_K) * _class_in(rs, K, comps, _connected_class), diag)
         if J == K:
             c_K = c
         if c:
@@ -398,7 +383,7 @@ def _certify(
             letters[j] = n
         else:
             raise InvariantViolation(f"constant at {sorted(kp)} is outside Monk's rule")
-    m_K = _monk_in(rs, i, _components(rs, K))
+    m_K = _class_in(rs, frozenset({i}), _components(rs, K), _connected_class)
     if n_K != m_K * denom:
         raise InvariantViolation(
             f"constant at {sorted(K)} is {Fraction(n_K, denom)}, expected {m_K}"
@@ -406,7 +391,7 @@ def _certify(
     for P in _admissible(rs, K, sorted({i, *letters})):
         S = K & P
         x = _connected_class(rs, S, P) if S else 1
-        lhs = (_monk_at(rs, P)[i] - m_K) * x * denom if i in P else 0
+        lhs = (_connected_class(rs, frozenset({i}), P) - m_K) * x * denom if i in P else 0
         rhs = sum(n * _connected_class(rs, S | {j}, P) for j, n in letters.items() if j in P)
         if lhs != rhs:
             raise InvariantViolation(
@@ -423,8 +408,7 @@ def _admissible(rs: RootSystem, K: Subset, seeds: Sequence[int]) -> Iterator[Sub
     unless it is in K.  The diagram is a tree, so each node is reached
     from one side only and no P is met twice.
     """
-    nodes = range(1, rs.rank + 1)
-    adjacent = {a: [b for b in nodes if b != a and rs.cartan[a - 1][b - 1]] for a in nodes}
+    adjacent = _neighbours(rs)
     for k, seed in enumerate(seeds):
         earlier = seeds[:k]
         stack = [((seed,), tuple((b, seed) for b in adjacent[seed]))]
@@ -461,9 +445,10 @@ def expansion_residuals(
     intersection ``base``; only those J are visited.  J is chosen node by
     node along ``_tree_order`` in a depth-first walk, and a node taken
     joins its parent's component or opens one, so J's components come
-    with it.  The values on each component are evaluated here, once per
-    call, from the cached word of w_P: the check reads none of the class
-    or Monk values that the solve and its certificate cached.
+    with it.  Both sides are products over them (``_class_in``), but the
+    class values on each component, Monk values included, are evaluated
+    here, once per call, from the cached word of w_P: the check reads none
+    of the values that the solve and its certificate cached.
     """
     rs.check_index(i)
     K = _normalize_subset(rs, K)
@@ -485,33 +470,16 @@ def expansion_residuals(
     ]
     base = K.intersection(*(kp for kp, _ in terms))
     order = _tree_order(rs)
-    monk: dict[Subset, int] = {}
-    classes: dict[tuple[Subset, Subset], int] = {}
-
-    def class_in(S: Subset, comps: tuple[Subset, ...]) -> int:
-        coeff = 1
-        for P in comps:
-            T = S & P
-            if T:
-                if (T, P) not in classes:
-                    classes[T, P] = _coxeter_sum(rs, T, *_longest(rs, P))
-                coeff *= classes[T, P]
-        return coeff
-
-    def monk_in(comps: tuple[Subset, ...]) -> int:
-        for P in comps:
-            if i in P:
-                if P not in monk:
-                    monk[P] = monk_coefficients(*_longest(rs, P), rs.rank)[i]
-                return monk[P]
-        return 0
-
+    value = lru_cache(maxsize=None)(lambda rs, S, P: _coxeter_sum(rs, S, *_longest(rs, P)))
+    s_i = frozenset({i})
     out: dict[Subset, Fraction] = {}
 
     def walk(p: int, J: Subset, comps: tuple[Subset, ...]) -> None:
         if p == len(order):
-            acc = monk_in(comps) * class_in(K, comps) * denom if K <= J else 0
-            acc -= sum(n * class_in(kp, comps) for kp, n in terms if kp <= J)
+            acc = 0  # a class whose subset J lacks is 0: skip its product
+            if K <= J:
+                acc = _class_in(rs, s_i, comps, value) * _class_in(rs, K, comps, value) * denom
+            acc -= sum(n * _class_in(rs, kp, comps, value) for kp, n in terms if kp <= J)
             if acc:
                 out[J] = Fraction(acc, denom)
             return

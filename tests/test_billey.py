@@ -14,8 +14,9 @@ from peterschub.billey import (
     billey_eval_dp,
     earliest_sound_window,
 )
+from peterschub.checks import _subsets_ordered
 from peterschub.errors import Rejected
-from peterschub.peterson import _subsets_ordered, class_eval, coxeter_word, giambelli_eval
+from peterschub.peterson import class_eval, coxeter_word, giambelli_eval
 from peterschub.rootsys import build_root_system, height
 from peterschub.weyl import (
     braid_variant,

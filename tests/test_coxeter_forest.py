@@ -24,8 +24,8 @@ from hypothesis import given, settings, strategies as st
 
 from peterschub import billey, peterson, weyl
 from peterschub.billey import billey_eval_bruteforce, billey_eval_dp
+from peterschub.checks import _subsets_ordered
 from peterschub.peterson import (
-    _subsets_ordered,
     class_eval,
     coxeter_word,
     full_subset,
@@ -188,6 +188,8 @@ def test_factored_values_match_the_whole_word_of_w_j(case):
     whole = monk_coefficients(word, _walk(rs, word)[1], rs.rank)
     for i in range(1, rs.rank + 1):
         assert monk_eval(rs, i, J).coeff == whole[i], i
+        # The factored route that the Monk solve reads, 0 for i outside J.
+        assert class_eval(rs, {i}, J).coeff == whole[i], i
 
 
 # --- the Monk solve ------------------------------------------------------------
@@ -208,8 +210,8 @@ def test_sparse_solve_matches_the_dense_reference(label):
 
 def test_solve_evaluates_only_the_supersets_of_k(monkeypatch):
     rs = build_root_system("A10")
-    for fn in (peterson._connected_class, peterson._longest, peterson._monk_at,
-               peterson._class_ideal, billey._ideal):
+    for fn in (peterson._connected_class, peterson._longest, peterson._class_ideal,
+               billey._ideal):
         fn.cache_clear()
     walked = []
 

@@ -21,14 +21,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from peterschub import cli, peterson
+from peterschub.checks import _subsets_ordered
 from peterschub.errors import InvariantViolation
 from peterschub.peterson import (
     _certify,
     _class_in,
     _components,
     _connected_class,
-    _monk_in,
-    _subsets_ordered,
     expansion_residuals,
     monk_structure_constants,
 )
@@ -43,16 +42,17 @@ RANK_LE_4 = ("A1", "A2", "A3", "A4", "B2", "B3", "B4",
 
 def sparse_constants(rs, i, K):
     """Back-substitution in integers over every w_J with J containing K."""
-    K = frozenset(K)
+    K, s_i = frozenset(K), frozenset({i})
     nums, denom, out = {}, 1, {}
     for J in _subsets_ordered(rs.rank):
         if not K <= J:
             continue
         comps = _components(rs, J)
-        acc = _monk_in(rs, i, comps) * _class_in(rs, K, comps) * denom
+        acc = _class_in(rs, s_i, comps, _connected_class)
+        acc *= _class_in(rs, K, comps, _connected_class) * denom
         for kp, n in nums.items():
             if kp < J:
-                acc -= n * _class_in(rs, kp, comps)
+                acc -= n * _class_in(rs, kp, comps, _connected_class)
         diag = 1
         for P in comps:
             diag *= _connected_class(rs, P, P)
@@ -69,7 +69,7 @@ def sparse_constants(rs, i, K):
 
 def full_residuals(rs, i, K, constants):
     """Both sides of the expansion at all 2^rank fixed points, zeros kept."""
-    K = frozenset(K)
+    K, s_i = frozenset(K), frozenset({i})
     denom = lcm(*(c.denominator for c, _ in constants.values()))
     terms = [
         (kp, c.numerator * (denom // c.denominator)) for kp, (c, _) in constants.items()
@@ -79,12 +79,13 @@ def full_residuals(rs, i, K, constants):
         comps, acc = None, 0
         if K <= J:
             comps = _components(rs, J)
-            acc = _monk_in(rs, i, comps) * _class_in(rs, K, comps) * denom
+            acc = _class_in(rs, s_i, comps, _connected_class)
+            acc *= _class_in(rs, K, comps, _connected_class) * denom
         for kp, n in terms:
             if kp <= J:
                 if comps is None:
                     comps = _components(rs, J)
-                acc -= n * _class_in(rs, kp, comps)
+                acc -= n * _class_in(rs, kp, comps, _connected_class)
         out[J] = Fraction(acc, denom)
     return out
 
@@ -197,24 +198,33 @@ def test_walk_holds_only_the_nonzero_residuals():
 
 
 def test_a_wrong_solve_exits_3(monkeypatch, capsys):
-    # The certificate reads only connected class and Monk values, so a
-    # solve that misreads p_{v_K}(w_J) is caught instead of printed.
+    # The certificate checks each component on ``_connected_class`` itself,
+    # so a solve that misreads the products p_{v_K}(w_J) is caught instead
+    # of printed.
     real = peterson._class_in
-    monkeypatch.setattr(peterson, "_class_in", lambda rs, K, comps: real(rs, K, comps) + 1)
+    monkeypatch.setattr(
+        peterson, "_class_in", lambda rs, K, comps, value: real(rs, K, comps, value) + 1
+    )
     assert cli.main(["constants", "--type", "A3", "-i", "1", "--subset", "1"]) == 3
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("invariant violation:")
 
 
 def test_walk_reads_none_of_the_solves_cached_values(monkeypatch):
-    # Monk coefficients one too high fool the solve and its certificate,
-    # which read the same values; the walk evaluates its own and sees the
-    # wrong constant at K.
+    # Cached values of the class of {1}, the Monk class p_{s_1}, one too
+    # high fool the solve and its certificate, which read the same values
+    # and compare Monk values only by their differences; the walk evaluates
+    # its own and sees the wrong constant at K.  K = {1} would not show
+    # it: there the certificate also reads p_{v_K}(w_P), and raises.
     rs = build_root_system("A3")
-    real = peterson._monk_at.__wrapped__
+    real = peterson._connected_class
     monkeypatch.setattr(
-        peterson, "_monk_at", lambda rs, P: {a: m + 1 for a, m in real(rs, P).items()}
+        peterson, "_connected_class", lambda rs, S, P: real(rs, S, P) + (S == {1})
     )
-    constants = monk_structure_constants(rs, 1, {1})
-    assert constants[frozenset({1})] == (Fraction(2), 1)  # the truth is 1
-    assert expansion_residuals(rs, 1, {1}, constants)
+    K = frozenset({1, 3})
+    constants = monk_structure_constants(rs, 1, K)
+    assert constants[K] == (Fraction(2), 1)  # the truth is 1
+    assert expansion_residuals(rs, 1, K, constants) == {
+        K: Fraction(-1),
+        frozenset({1, 2, 3}): Fraction(-9),
+    }

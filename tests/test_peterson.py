@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 
 from peterschub.billey import LocalizationValue, billey_eval_bruteforce
+from peterschub.checks import _subsets_ordered
 from peterschub.errors import Rejected
 from peterschub.peterson import (
     _fixed_point,
-    _subsets_ordered,
     class_eval,
     coxeter_word,
     expansion_residuals,
