@@ -19,7 +19,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import comb, inf, prod
+from math import comb, inf
 from typing import Sequence
 
 from .errors import Rejected
@@ -71,14 +71,15 @@ def _patterns(rs: RootSystem, v: Word) -> tuple[Word, ...]:
     return tuple(reduced_words(rs, v))
 
 
-# A weak-order ideal numbered for ``_ideal_sum``: each element's value before
-# the walk, the identity of each factor, and the edges (u, u*s_j) by letter j.
-Ideal = tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...]]
+# The weak-order ideal below v numbered for ``_ideal_sum``: each element's
+# value before the walk (1 at v, 0 elsewhere), the identity's number, and the
+# edges (u, u*s_j) by letter j.
+Ideal = tuple[tuple[int, ...], int, tuple[tuple[tuple[int, int], ...], ...]]
 
 
 @lru_cache(maxsize=None)
 def _ideal(rs: RootSystem, v_mu: Vector) -> Ideal:
-    """The weak-order ideal below v as one factor, valued 1 at v, cached."""
+    """The weak-order ideal below v, numbered for ``_ideal_sum``, cached."""
     below = _descent_graph(rs, v_mu, inf)
     ids = {mu: k for k, mu in enumerate(below)}
     edges: list[list[tuple[int, int]]] = [[] for _ in range(rs.rank + 1)]
@@ -86,24 +87,12 @@ def _ideal(rs: RootSystem, v_mu: Vector) -> Ideal:
         for j, child in out:
             edges[j].append((ids[mu], ids[child]))
     start = tuple(int(mu == v_mu) for mu in below)
-    return start, (ids[(1,) * rs.rank],), tuple(map(tuple, edges))
-
-
-def _join(ideals: Sequence[Ideal]) -> Ideal:
-    """Ideals below elements on disjoint letters, numbered side by side: their product's."""
-    start, bottoms, edges = [], [], [()] * len(ideals[0][2])
-    for part_start, part_bottoms, part_edges in ideals:
-        n = len(start)
-        start += part_start
-        bottoms += [b + n for b in part_bottoms]
-        for j, pairs in enumerate(part_edges):
-            edges[j] += tuple((u + n, child + n) for u, child in pairs)
-    return tuple(start), tuple(bottoms), tuple(edges)
+    return start, ids[(1,) * rs.rank], tuple(map(tuple, edges))
 
 
 def _ideal_sum(ideal: Ideal, w: Word, weights: Sequence[int]) -> int:
-    """``billey_eval_dp``'s coefficient, all factors in one pass over w and its heights."""
-    start, bottoms, edges = ideal
+    """``billey_eval_dp``'s coefficient: one pass over w and its heights, read at the identity."""
+    start, identity, edges = ideal
     value = list(start)
     for p in reversed(range(len(w))):
         pairs = edges[w[p]]
@@ -111,7 +100,7 @@ def _ideal_sum(ideal: Ideal, w: Word, weights: Sequence[int]) -> int:
             h = weights[p]
             for u, child in pairs:
                 value[child] += value[u] * h
-    return prod([value[b] for b in bottoms])
+    return value[identity]
 
 
 def billey_eval_dp(rs: RootSystem, v: Sequence[int], w: Sequence[int]) -> LocalizationValue:

@@ -9,12 +9,13 @@ inclusion, and a Monk expansion is read off a few of its fixed points.
 
 A class is evaluated by ``billey``'s dynamic program over the weak-order
 ideal below v_K.  v_K is the product of the Coxeter elements of K's
-Dynkin components, which use disjoint, commuting letters, so each
-component's ideal is built once and all of them share one pass over the
-word (``_coxeter_sum``).  A Monk value p_{s_i} is the class of K = {i},
-s_i being the Coxeter element of one letter.  ``giambelli_eval``,
-``monk_eval`` and ``build_report`` sum on the canonical or seed word of
-the fixed point, checked by its length.
+Dynkin components, which use disjoint, commuting letters, so the class
+is the product of the components' sums, each component's ideal built
+once and walked in its own pass over the word (``_coxeter_sum``).  A
+Monk value p_{s_i} is the class of K = {i}, s_i being the Coxeter
+element of one letter.  ``giambelli_eval``, ``monk_eval`` and
+``build_report`` sum on the canonical or seed word of the fixed point,
+checked by its length.
 
 Every other fixed point is evaluated through the connected components of
 J in the Dynkin diagram.  The longest elements of the components
@@ -55,7 +56,7 @@ from functools import lru_cache
 from math import lcm, prod
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .billey import Ideal, LocalizationValue, _ideal, _ideal_sum, _join, billey_eval_bruteforce
+from .billey import Ideal, LocalizationValue, _ideal, _ideal_sum, billey_eval_bruteforce
 from .errors import InvariantViolation, Rejected
 from .rootsys import RootSystem, height
 from .weyl import (
@@ -244,17 +245,18 @@ def giambelli_ratio(rs: RootSystem, K: Iterable[int] | None = None) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _class_ideal(rs: RootSystem, S: Subset) -> Ideal:
-    """The weak-order ideal below v_S, one factor per Dynkin component of S, cached."""
-    comps = _components(rs, S)
-    if len(comps) > 1:
-        return _join([_class_ideal(rs, C) for C in comps])
-    return _ideal(rs, _walk(rs, coxeter_word(S))[2])
+def _class_ideal(rs: RootSystem, S: Subset) -> tuple[Ideal, ...]:
+    """The weak-order ideals below the Coxeter elements of S's Dynkin components, cached."""
+    return tuple(_ideal(rs, _walk(rs, coxeter_word(C))[2]) for C in _components(rs, S))
 
 
 def _coxeter_sum(rs: RootSystem, S: Subset, word: Word, heights: Sequence[int]) -> int:
-    """Coefficient of p_{v_S}(w) for nonempty S, on a reduced word of w."""
-    return _ideal_sum(_class_ideal(rs, S), word, heights)
+    """Coefficient of p_{v_S}(w) for nonempty S, on a reduced word of w.
+
+    The components' letters are disjoint, so a subword spelling v_S picks
+    one spelling per component, independently: the product of their sums.
+    """
+    return prod(_ideal_sum(ideal, word, heights) for ideal in _class_ideal(rs, S))
 
 
 @lru_cache(maxsize=None)

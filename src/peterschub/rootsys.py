@@ -96,16 +96,11 @@ class LieTypeLabel:
 def _edges(label: LieTypeLabel) -> list[tuple[int, int]]:
     """Dynkin diagram edges as 1-based node pairs (Bourbaki numbering)."""
     n = label.rank
-    chain = [(i, i + 1) for i in range(1, n)]
-    if label.family in ("A", "B", "C"):
-        return chain
     if label.family == "D":
         return [(i, i + 1) for i in range(1, n - 1)] + [(n - 2, n)]
     if label.family == "E":
         return [(1, 3), (3, 4), (4, 5), (2, 4)] + [(i, i + 1) for i in range(5, n)]
-    if label.family == "F":
-        return chain
-    return chain  # G2: single edge (1, 2)
+    return [(i, i + 1) for i in range(1, n)]  # A, B, C, F and G2's single edge
 
 
 def _cartan_matrix(label: LieTypeLabel) -> tuple[Root, ...]:
@@ -152,8 +147,12 @@ class RootSystem:
     """An immutable root system: label, Cartan matrix and positive roots.
 
     ``positives`` is computed by reflection closure on its first read and
-    kept: starting from the simple roots, apply every simple reflection and
-    keep the positive results until nothing new appears.  It is sorted by
+    kept: starting from the simple roots, apply every simple reflection
+    that raises the root's coefficient at its node, until nothing new
+    appears.  A raised image of a positive root is positive, and every
+    positive root is reached so: a non-simple one is the raised image of a
+    lower one (Humphreys, *Introduction to Lie Algebras and Representation
+    Theory*, §10.2), so no image needs a sign check.  It is sorted by
     (height, coefficients), so output involving it is deterministic.  Jobs
     that read only the Cartan matrix (``constants``, ``monk``,
     ``giambelli``, ``longest``, ``lists``) never run the closure; ``roots``,
@@ -196,23 +195,17 @@ class RootSystem:
 
     @cached_property
     def positives(self) -> tuple[Root, ...]:
-        cartan = self.cartan
-        n = self.rank
-        simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-        found: set[Root] = set(simples)
-        frontier: set[Root] = set(simples)
+        nodes = range(1, self.rank + 1)
+        frontier = {self.simple_root(i) for i in nodes}
+        found = set(frontier)
         while frontier:
-            new: set[Root] = set()
-            for beta in frontier:
-                for i in range(n):
-                    pairing = sum(cartan[i][j] * beta[j] for j in range(n))
-                    image = list(beta)
-                    image[i] -= pairing
-                    gamma = tuple(image)
-                    if is_positive_root(gamma) and gamma not in found:
-                        new.add(gamma)
-            found |= new
-            frontier = new
+            frontier = {
+                gamma
+                for beta in frontier
+                for i in nodes
+                if (gamma := reflect(self, i, beta))[i - 1] > beta[i - 1] and gamma not in found
+            }
+            found |= frontier
         return tuple(sorted(found, key=lambda r: (sum(r), r)))
 
     @cached_property

@@ -179,9 +179,9 @@ def test_dp_matches_the_root_route(label, every_w):
     "label,every_j", [("A3", True), ("B2", True), ("G2", True), ("B3", False), ("C3", False)]
 )
 def test_coxeter_classes_match_the_root_route(label, every_j):
-    # class_eval and giambelli_eval run the DP on the ideals of K's Dynkin
-    # components side by side; the root route sums the same subwords with
-    # no height walk, no reduced words and no descent graph.
+    # class_eval and giambelli_eval run the DP once on the ideal of each of
+    # K's Dynkin components and multiply; the root route sums the same
+    # subwords with no height walk, no reduced words and no descent graph.
     rs = build_root_system(label)
     full = frozenset(range(1, rs.rank + 1))
     for J in _subsets_ordered(rs.rank) if every_j else [full]:
@@ -194,6 +194,31 @@ def test_coxeter_classes_match_the_root_route(label, every_j):
     for u in (w0, reduced_words(rs, w0)[-1]):
         expected = root_route_sums(rs, u)[(rs.rank, element_matrix(rs, coxeter_word(full)))]
         assert giambelli_eval(rs, word=u) == LocalizationValue(expected, rs.rank), u
+
+
+@pytest.mark.parametrize("label", ("A2", "A3", "B2", "G2", "B3", "C3"))
+def test_dp_meets_the_projected_gkm_congruences(label):
+    # Schubert classes satisfy beta | p_v(w) - p_v(s_beta w) for every
+    # positive root beta (Goresky-Kottwitz-MacPherson), and Billey's formula
+    # gives those classes.  Projecting every simple root to t sends beta to
+    # ht(beta) * t, so the coefficients agree mod ht(beta).  s_beta w is
+    # found by element matrices, with no descent graph; the right-multiplied
+    # w * s_beta breaks the congruences, so the check fixes the convention.
+    rs = build_root_system(label)
+    elements = element_words(rs)
+    named = {element_matrix(rs, w): w for w in elements}
+    # The k-th inversion root of w0 is beta = u(alpha_j), u = w0[:k-1] and
+    # j = w0[k-1]; it runs over every positive root once, and s_beta = u s_j u^-1.
+    w0 = longest_element_word(rs, range(1, rs.rank + 1))
+    reflections = [
+        (height(beta), w0[:k] + w0[: k - 1][::-1])
+        for k, beta in enumerate(inversion_roots(rs, w0), start=1)
+    ]
+    coeff = {w: [billey_eval_dp(rs, v, w).coeff for v in elements] for w in elements}
+    for w in elements:
+        for h, s_beta in reflections:
+            moved = coeff[named[element_matrix(rs, s_beta + w)]]
+            assert all((a - b) % h == 0 for a, b in zip(coeff[w], moved)), (w, s_beta)
 
 
 @pytest.mark.parametrize("label", ("F4", "B5", "A6", "D6"))
