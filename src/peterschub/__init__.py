@@ -3,9 +3,9 @@
 Root systems are generated by reflection closure in simple-root
 coordinates, Weyl group elements are handled as reduced words, every
 class evaluation at a torus fixed point is one dynamic program over the
-weak-order ideal below the class, with a subword enumerator as its
-oracle, and Monk structure constants are read off a few fixed points by
-Monk's rule and certified at all of them.
+weak-order ideal below the class, with a subword sum over its reduced
+words as the oracle, and Monk structure constants are read off a few
+fixed points by Monk's rule and certified at all of them.
 """
 
 from .billey import (

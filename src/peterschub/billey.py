@@ -10,12 +10,12 @@ the evaluation of the class of v at the fixed point w becomes
 Values are held as an exact integer coefficient together with the t-degree
 l(v).  Two evaluators are provided: a dynamic program over the weak-order
 ideal below v, the one evaluator of every class, and an oracle that lists
-the reduced words of v and enumerates the subwords of w spelling each of them.
+the reduced words of v and sums the weighted embeddings of each in w, by a
+subsequence count per word or, literally, by testing every index subset.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -142,15 +142,18 @@ def billey_eval_bruteforce(
     window: int | None = None,
     full_subset_scan: bool = False,
 ) -> LocalizationValue:
-    """Evaluate p_v(w) by explicit subword enumeration.
+    """Evaluate p_v(w) by listing the reduced words of v.
 
-    Enumerates index subsets of size l(v) within the first ``window``
-    positions of ``w`` whose letter sequence is a reduced word of v, and
-    sums the products of inversion heights.  The default backtracks over
-    letter positions; ``full_subset_scan=True`` instead tests every
-    combination of ``window`` choose l(v) indices, which is faithful to
-    the classical approach but exponentially slower, and is rejected
-    when that count exceeds ``_SUBSET_SCAN_CAP``.
+    Sums, over the index subsets of size l(v) within the first ``window``
+    positions of ``w`` whose letter sequence is a reduced word of v, the
+    products of inversion heights.  By default each reduced word's
+    embeddings are counted by one left-to-right pass over the window, so
+    the work is at most |R(v)| * l(v) * window, bounded through the cap
+    on listed reduced words, ``weyl.REDUCED_WORD_LIMIT``.
+    ``full_subset_scan=True`` instead tests every combination of
+    ``window`` choose l(v) indices, which is faithful to the classical
+    approach but exponentially slower, and is rejected when that count
+    exceeds ``_SUBSET_SCAN_CAP``.
 
     An explicit window must be sound: at least l(v), and no smaller than
     the last occurrence in ``w`` of any pattern's final letter.  Unsound
@@ -180,37 +183,23 @@ def billey_eval_bruteforce(
     if full_subset_scan:
         total = _subset_scan(w, weights, patterns, limit, len(v))
     else:
-        total = sum(_backtrack(p, w, weights, limit) for p in patterns)
+        total = sum(_embeddings(p, w, weights, limit) for p in patterns)
     return LocalizationValue(coeff=total, degree=len(v))
 
 
-def _backtrack(pattern: Word, word: Word, weights: Sequence[int], window: int) -> int:
-    """Sum of weight products over embeddings of ``pattern`` in ``word[:window]``."""
-    if not pattern:
-        return 1
-    positions: dict[int, list[int]] = {}
-    for pos in range(window):
-        positions.setdefault(word[pos], []).append(pos)
-    rows = [positions.get(letter, []) for letter in pattern]
-    if any(not row for row in rows):
-        return 0
-    depth = len(pattern)
-    total = 0
+def _embeddings(pattern: Word, word: Word, weights: Sequence[int], window: int) -> int:
+    """Sum of weight products over embeddings of ``pattern`` in ``word[:window]``.
 
-    def walk(k: int, start: int, prod: int) -> None:
-        nonlocal total
-        if k == depth:
-            total += prod
-            return
-        row = rows[k]
-        for idx in range(bisect_left(row, start), len(row)):
-            pos = row[idx]
-            if window - pos < depth - k:
-                break
-            walk(k + 1, pos + 1, prod * weights[pos])
-
-    walk(0, 0, 1)
-    return total
+    ``found[k]`` sums the weight products of the embeddings of the first k
+    letters of ``pattern`` in the positions read so far; k runs downward so
+    that a position extends each embedding at most once.
+    """
+    found = [1] + [0] * len(pattern)
+    for letter, h in zip(word[:window], weights):
+        for k in range(len(pattern), 0, -1):
+            if pattern[k - 1] == letter:
+                found[k] += found[k - 1] * h
+    return found[-1]
 
 
 def _subset_scan(

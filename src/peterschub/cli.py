@@ -59,28 +59,25 @@ def _type_arg(text: str) -> LieTypeLabel:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _subset_arg(text: str) -> tuple[int, ...]:
+def _int_list(text: str, what: str, example: str) -> list[int]:
+    """The ints of a comma list; errors name the argument as ``what``."""
     try:
         parts = [int(p) for p in text.split(",") if p.strip()]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
-            f"cannot parse index list {text!r}: want e.g. 1,2,5"
+            f"cannot parse {what} {text!r}: want e.g. {example}"
         ) from exc
     if not parts:
-        raise argparse.ArgumentTypeError("index list is empty")
-    return tuple(sorted(set(parts)))
+        raise argparse.ArgumentTypeError(f"{what} is empty")
+    return parts
+
+
+def _subset_arg(text: str) -> tuple[int, ...]:
+    return tuple(sorted(set(_int_list(text, "index list", "1,2,5"))))
 
 
 def _word_arg(text: str) -> Word:
-    try:
-        parts = [int(p) for p in text.split(",") if p.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"cannot parse word {text!r}: want e.g. 1,2,1"
-        ) from exc
-    if not parts:
-        raise argparse.ArgumentTypeError("word is empty")
-    return tuple(parts)
+    return tuple(_int_list(text, "word", "1,2,1"))
 
 
 def _build_parser() -> _Parser:

@@ -43,9 +43,9 @@ residuals.  Only it has a cap: it refuses types with more than
 ``MAX_FIXED_POINTS`` fixed points before evaluating any.
 
 ``build_report`` runs the whole pipeline for one type (longest word,
-inversion heights, Monk and Giambelli evaluations, the backtracking
-oracle where it is cheap), checks the totals it can check and returns
-the ``report`` subcommand's payload, the dict that the CLI prints.
+inversion heights, Monk and Giambelli evaluations, the subword oracle on
+longest words of at most 63 letters), checks the totals it can check and
+returns the ``report`` subcommand's payload, the dict that the CLI prints.
 """
 
 from __future__ import annotations
@@ -498,6 +498,9 @@ def expansion_residuals(
     return out
 
 
+# Reports carry an ``oracle`` field exactly when the longest word has at
+# most this many letters (E7 and below).  It fixes the report format, not a
+# cost: the oracle answers E8's 120 letters in milliseconds.
 _ORACLE_LENGTH_CAP = 63
 
 
@@ -506,10 +509,10 @@ def build_report(rs: RootSystem, seed_word: Word | None = None) -> dict[str, Any
 
     Returns the JSON-ready payload of the ``report`` subcommand.
 
-    The backtracking-oracle comparison is included only when the longest
-    word has at most 63 letters: beyond that the enumeration stops being
-    a quick cross-check, and the dynamic program stands on the exhaustive
-    equivalence tests in smaller types.
+    The comparison with ``billey_eval_bruteforce`` is included only when
+    the longest word has at most ``_ORACLE_LENGTH_CAP`` letters.  Its
+    method keeps the name ``backtrack``, the CLI's name for that oracle, so
+    the payload stays byte-stable.
     """
     # The root closure runs here, on the first read, outside the stage clock.
     positives = rs.positives

@@ -126,6 +126,32 @@ def test_window_narrowing_is_exact_when_sound():
         assert billey_eval_bruteforce(rs, v, w0, window=sound) == full
 
 
+@pytest.mark.parametrize("label", ("A3", "B2", "G2", "B3"))
+def test_oracle_matches_the_literal_subset_scan(label):
+    # The default oracle sums each reduced word's embeddings by a subsequence
+    # DP; the subset scan is the definition as written: it tests every index
+    # subset of the window.
+    rs = build_root_system(label)
+    elements = element_words(rs)
+    for w in elements:
+        for v in elements:
+            # When l(v) > l(w) the sound window, at least l(v), passes the end of w.
+            sound = [earliest_sound_window(rs, v, w)] if len(v) <= len(w) else []
+            for window in [None, *sound]:
+                expected = billey_eval_bruteforce(rs, v, w, window, full_subset_scan=True)
+                assert billey_eval_bruteforce(rs, v, w, window) == expected, (v, w, window)
+
+
+@pytest.mark.parametrize("label", ("A40", "B16", "D20"))
+def test_oracle_answers_long_coxeter_classes(label):
+    # Each listed reduced word of v costs one pass of l(v) steps per letter of
+    # w0: here 1-2 words over 256-820 letters.
+    rs = build_root_system(label)
+    full = range(1, rs.rank + 1)
+    w0 = longest_element_word(rs, full)
+    assert billey_eval_bruteforce(rs, coxeter_word(full), w0) == giambelli_eval(rs)
+
+
 def test_degree_is_class_length():
     rs = build_root_system("B3")
     w0 = longest_element_word(rs, (1, 2, 3))
@@ -134,7 +160,7 @@ def test_degree_is_class_length():
 
 
 def test_giambelli_instance_e6_dual_route():
-    # The backtracking comparison is in billey_oracle_equivalence (full).
+    # The oracle comparison is in billey_oracle_equivalence (full).
     rs = build_root_system("E6")
     vk = (1, 2, 3, 4, 5, 6)
     w0 = longest_element_word(rs, range(1, 7))
